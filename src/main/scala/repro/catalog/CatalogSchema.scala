@@ -1,14 +1,16 @@
 package repro.catalog
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 
-/** Column-name constants for the metadata catalog.
+/** Value domains of the metadata catalog.
   *
   * The catalog models the metadata landscape of an interactive data system
   * (paper §1, §6): data *artifacts* (tables, visualizations, workbooks,
   * dashboards) plus the metadata the formative interviews surfaced as
   * discovery-relevant — ownership, teams, badges/endorsements, usage, and
-  * lineage. Providers contract on these names; the spec layer never sees them.
+  * lineage. These are the kinds the generator draws from; the spec layer
+  * never sees them.
   */
 object CatalogSchema {
   /** Artifact kinds, ordered by how they derive from each other:
@@ -18,54 +20,6 @@ object CatalogSchema {
 
   /** Badge kinds (paper Figure 2 "Badged"; the study uses `endorsed`). */
   val BadgeTypes: Seq[String] = Seq("endorsed", "warning", "deprecated")
-
-  object artifacts {
-    val id          = "artifact_id"
-    val name        = "name"
-    val artifactTpe = "artifact_type"
-    val ownerId     = "owner_id"
-    val teamId      = "team_id"
-    val createdAt   = "created_at"
-    val views       = "views"
-    val favorites   = "favorites"
-    val description = "description"
-    val all: Seq[String] =
-      Seq(id, name, artifactTpe, ownerId, teamId, createdAt, views, favorites, description)
-  }
-
-  object users {
-    val id     = "user_id"
-    val name   = "user_name"
-    val teamId = "team_id"
-    val all: Seq[String] = Seq(id, name, teamId)
-  }
-
-  object teams {
-    val id   = "team_id"
-    val name = "team_name"
-    val all: Seq[String] = Seq(id, name)
-  }
-
-  object badges {
-    val artifactId = "artifact_id"
-    val badge      = "badge"
-    val badgedBy   = "badged_by"
-    val badgedAt   = "badged_at"
-    val all: Seq[String] = Seq(artifactId, badge, badgedBy, badgedAt)
-  }
-
-  object lineage {
-    val parentId = "parent_id"
-    val childId  = "child_id"
-    val all: Seq[String] = Seq(parentId, childId)
-  }
-
-  object usage {
-    val artifactId = "artifact_id"
-    val userId     = "user_id"
-    val day        = "day"
-    val all: Seq[String] = Seq(artifactId, userId, day)
-  }
 }
 
 /** The metadata catalog as a bundle of DataFrames.
@@ -87,6 +41,27 @@ final case class CatalogTables(
   def cached(): CatalogTables =
     CatalogTables(artifacts.cache(), users.cache(), teams.cache(),
       badges.cache(), lineage.cache(), usage.cache())
+
+  /** Artifacts enriched with ranking-relevant derived metadata fields:
+    * `endorsements` (badge count) and `age_days`. Ranking weights in specs
+    * reference these by name (paper §4.2, Listing 1 uses `favorite`/`views`),
+    * and the embedding features read them too.
+    */
+  lazy val enrichedArtifacts: DataFrame = {
+    val endorsed = badges
+      .where(col("badge") === "endorsed")
+      .groupBy(col("artifact_id").as("b_aid"))
+      .agg(count(lit(1)).as("endorsements"))
+    artifacts.join(endorsed, artifacts("artifact_id") === endorsed("b_aid"), "left")
+      .drop("b_aid")
+      .withColumn("endorsements", coalesce(col("endorsements"), lit(0L)))
+      .withColumn("age_days",
+        datediff(lit("2024-01-01").cast("date"), col("created_at")).cast("long"))
+      // Every provider and every query element reads through this relation;
+      // caching it keeps a multi-element search from recomputing the badge
+      // aggregation once per element.
+      .cache()
+  }
 
   /** All tables by name, for oracle registration and persistence. */
   def byName: Map[String, DataFrame] = Map(

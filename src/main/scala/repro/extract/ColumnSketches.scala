@@ -39,33 +39,47 @@ final case class ColumnSketch(table: String, column: String, distinct: Long, sig
 
 /** MinHash sketch construction via DataFrame scans.
   *
-  * One aggregation pass per column computes all k slots: slot i is
-  * `min(hash(i, value))` over distinct non-null values. Deterministic —
-  * Spark's `hash` is Murmur3 with the slot index as a leading mixing term.
+  * One aggregation over the whole lake computes every column's k slots: the
+  * columns are melted to distinct `(table, column, value)` triples and
+  * grouped by `(table, column)`; slot i is `min(hash(i, value))`.
+  * Deterministic — Spark's `hash` is Murmur3 with the slot index as a
+  * leading mixing term.
   */
 object ColumnSketches {
   val DefaultK = 64
 
   private def slot(i: Int, c: Column): Column = min(hash(lit(i), c)).as(s"h$i")
 
-  /** Sketch a single column of `df`. */
-  def sketch(df: DataFrame, table: String, column: String, k: Int = DefaultK): ColumnSketch = {
-    val values = df.select(col(column).cast("string").as("v")).na.drop().distinct()
-    val aggs   = count(lit(1)).as("n") +: (0 until k).map(i => slot(i, col("v")))
-    val row    = values.agg(aggs.head, aggs.tail: _*).collect()(0)
-    val n      = row.getLong(0)
-    val sig    =
-      if (n == 0) Array.fill(k)(Int.MaxValue)
-      else Array.tabulate(k)(i => row.getInt(i + 1))
-    ColumnSketch(table, column, n, sig)
-  }
+  /** Every column of every dataset as distinct non-null `(t, c, v)`
+    * triples, `v` the value cast to string.
+    */
+  private[extract] def melt(tables: Seq[(String, DataFrame)]): DataFrame =
+    tables.flatMap { case (name, df) =>
+      df.columns.toSeq.map(c =>
+        df.select(lit(name).as("t"), lit(c).as("c"), col(c).cast("string").as("v")))
+    }.reduce(_ unionByName _).na.drop().distinct()
 
-  /** Sketch every column of every named dataset. */
-  def sketchAll(tables: Seq[(String, DataFrame)], k: Int = DefaultK): Seq[ColumnSketch] =
-    for {
-      (name, df) <- tables
-      column     <- df.columns.toSeq
-    } yield sketch(df, name, column, k)
+  /** Sketch a single column of `df`. */
+  def sketch(df: DataFrame, table: String, column: String, k: Int = DefaultK): ColumnSketch =
+    sketchAll(Seq(table -> df.select(col(column))), k).head
+
+  /** Sketch every column of every named dataset, in input order. A column
+    * with no non-null value gets `distinct = 0` and all slots at
+    * `Int.MaxValue`.
+    */
+  def sketchAll(tables: Seq[(String, DataFrame)], k: Int = DefaultK): Seq[ColumnSketch] = {
+    val columns = for ((name, df) <- tables; c <- df.columns.toSeq) yield (name, c)
+    if (columns.isEmpty) return Seq.empty
+    val aggs = count(lit(1)).as("n") +: (0 until k).map(i => slot(i, col("v")))
+    val found = melt(tables).groupBy("t", "c").agg(aggs.head, aggs.tail: _*).collect()
+      .map(r => (r.getString(0), r.getString(1)) ->
+        ColumnSketch(r.getString(0), r.getString(1), r.getLong(2),
+          Array.tabulate(k)(i => r.getInt(i + 3))))
+      .toMap
+    columns.map { case (t, c) =>
+      found.getOrElse((t, c), ColumnSketch(t, c, 0L, Array.fill(k)(Int.MaxValue)))
+    }
+  }
 
   /** Exact containment |a ∩ b| / |a| over distinct values — the ground
     * truth the sketch estimates (used by the T4 quality bench and tests).

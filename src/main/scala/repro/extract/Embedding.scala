@@ -21,24 +21,17 @@ object Embedding {
 
   /** Feature columns derived from the catalog, in a fixed order. */
   private def featureCols(catalog: CatalogTables): (DataFrame, Seq[String]) = {
-    val a = catalog.artifacts
-    val endorsed = catalog.badges
-      .where(col("badge") === "endorsed")
-      .groupBy(col("artifact_id").as("b_aid"))
-      .agg(count(lit(1)).as("endorsements"))
-    val df = a.join(endorsed, a("artifact_id") === endorsed("b_aid"), "left")
-      .select(
-        a("artifact_id"),
-        log1p(a("views")).as("f_views"),
-        log1p(a("favorites")).as("f_favorites"),
-        datediff(lit("2024-01-01").cast("date"), a("created_at"))
-          .cast("double").as("f_age"),
-        when(a("artifact_type") === "table", 1.0).otherwise(0.0).as("f_is_table"),
-        when(a("artifact_type") === "visualization", 1.0).otherwise(0.0).as("f_is_viz"),
-        when(a("artifact_type") === "workbook", 1.0).otherwise(0.0).as("f_is_wb"),
-        when(a("artifact_type") === "dashboard", 1.0).otherwise(0.0).as("f_is_dash"),
-        coalesce(col("endorsements"), lit(0L)).cast("double").as("f_endorsed"),
-      )
+    val df = catalog.enrichedArtifacts.select(
+      col("artifact_id"),
+      log1p(col("views")).as("f_views"),
+      log1p(col("favorites")).as("f_favorites"),
+      col("age_days").cast("double").as("f_age"),
+      when(col("artifact_type") === "table", 1.0).otherwise(0.0).as("f_is_table"),
+      when(col("artifact_type") === "visualization", 1.0).otherwise(0.0).as("f_is_viz"),
+      when(col("artifact_type") === "workbook", 1.0).otherwise(0.0).as("f_is_wb"),
+      when(col("artifact_type") === "dashboard", 1.0).otherwise(0.0).as("f_is_dash"),
+      col("endorsements").cast("double").as("f_endorsed"),
+    )
     (df, df.columns.filter(_.startsWith("f_")).toSeq)
   }
 

@@ -54,19 +54,15 @@ object Joinability {
 
   /** Exact containment for *every* ordered column pair across tables, in
     * two shuffles instead of O(columns²) jobs: melt all columns to
-    * `(table, column, value)` distinct triples, self-join on value, count
-    * intersections per column pair, divide by the source column's distinct
-    * count. Used as ground truth by the T4 quality bench at scales where
-    * the per-pair [[ColumnSketches.exactContainment]] would be too slow.
+    * `(table, column, value)` distinct triples (the melt the sketches
+    * aggregate), self-join on value, count intersections per column pair,
+    * divide by the source column's distinct count. Used as ground truth by
+    * the T4 quality bench at scales where the per-pair
+    * [[ColumnSketches.exactContainment]] would be too slow.
     */
   def exactContainmentsAll(spark: SparkSession,
                            tables: Seq[(String, DataFrame)]): Seq[JoinEdge] = {
-    val melted = tables.map { case (name, df) =>
-      df.columns.toSeq.map { c =>
-        df.select(lit(name).as("t"), lit(c).as("c"),
-          col(c).cast("string").as("v")).na.drop()
-      }.reduce(_ unionByName _)
-    }.reduce(_ unionByName _).distinct().cache()
+    val melted = ColumnSketches.melt(tables).cache()
 
     try {
       val sizes = melted.groupBy("t", "c").agg(count(lit(1)).as("n"))

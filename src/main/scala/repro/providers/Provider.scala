@@ -23,26 +23,10 @@ final case class ProviderContext(
     joinEdges: Option[DataFrame] = None,
     coordinates: Option[DataFrame] = None,
 ) {
-  /** Artifacts enriched with ranking-relevant derived metadata fields:
-    * `endorsements` (badge count) and `age_days`. Ranking weights in specs
-    * reference these by name (paper §4.2, Listing 1 uses `favorite`/`views`).
+  /** The catalog's artifacts with ranking fields; see
+    * [[CatalogTables.enrichedArtifacts]].
     */
-  lazy val enrichedArtifacts: DataFrame = {
-    val a = catalog.artifacts
-    val endorsed = catalog.badges
-      .where(col("badge") === "endorsed")
-      .groupBy(col("artifact_id").as("b_aid"))
-      .agg(count(lit(1)).as("endorsements"))
-    a.join(endorsed, a("artifact_id") === endorsed("b_aid"), "left")
-      .drop("b_aid")
-      .withColumn("endorsements", coalesce(col("endorsements"), lit(0L)))
-      .withColumn("age_days",
-        datediff(lit("2024-01-01").cast("date"), col("created_at")).cast("long"))
-      // Every provider and every query element reads through this relation;
-      // caching it keeps a multi-element search from recomputing the badge
-      // aggregation once per element.
-      .cache()
-  }
+  def enrichedArtifacts: DataFrame = catalog.enrichedArtifacts
 }
 
 /** Raised when a provider is invoked without a declared required input

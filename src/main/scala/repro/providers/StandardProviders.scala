@@ -135,44 +135,36 @@ object StandardProviders {
   }
 
   /** Downstream lineage of a selected artifact as a hierarchy (Figure 6
-    * "hierarchy": table -> visualization -> dashboard). Expansion is an
-    * iterative frontier join, bounded by `maxDepth`, and is exercised
-    * against a DuckDB recursive CTE in tests.
+    * "hierarchy": table -> visualization -> dashboard). Expansion is one
+    * `WITH RECURSIVE` query bounded by `maxDepth`: a node reached along
+    * several paths appears once per path, and cycles stop at the bound. The
+    * DuckDB recursive CTE in tests is the oracle.
     */
   object LineageChildren extends Provider {
     val endpoint = "lineage_children"
     val representation: Representation = Hierarchy
     val maxDepth = 8
 
+    private val Walk =
+      """WITH RECURSIVE walk(artifact_id, parent_id, depth) AS (
+        |  SELECT artifact_id, CAST(NULL AS BIGINT), 0
+        |  FROM lineage_children_artifacts WHERE artifact_id = :root
+        |  UNION ALL
+        |  SELECT l.child_id, l.parent_id, w.depth + 1
+        |  FROM lineage_children_edges l JOIN walk w ON l.parent_id = w.artifact_id
+        |  WHERE w.depth < :maxDepth
+        |)
+        |SELECT a.*, w.parent_id, w.depth
+        |FROM walk w JOIN lineage_children_artifacts a ON a.artifact_id = w.artifact_id
+        |""".stripMargin
+
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val rootId = need(inputs, "artifact").toLong
-      val lineage = ctx.catalog.lineage
-      val arts = base(ctx)
-
-      val root = arts.where(col("artifact_id") === rootId)
-        .withColumn("parent_id", lit(null).cast("long"))
-        .withColumn("depth", lit(0))
-      var frontier = root.select("artifact_id")
-      var result   = root
-      var depth    = 0
-      var growing  = true
-      while (growing && depth < maxDepth) {
-        depth += 1
-        val next = lineage
-          .join(frontier.withColumnRenamed("artifact_id", "parent_id"), "parent_id")
-          .select(col("parent_id").as("l_parent"), col("child_id"))
-        val level = arts.join(next, col("artifact_id") === col("child_id"), "inner")
-          .withColumn("parent_id", col("l_parent"))
-          .withColumn("depth", lit(depth))
-          .drop("l_parent", "child_id")
-        val levelIds = level.select("artifact_id")
-        if (level.isEmpty) growing = false
-        else {
-          result = result.unionByName(level)
-          frontier = levelIds
-        }
-      }
-      result
+      // The views resolve when `sql` analyzes the query, so re-registering
+      // them for another catalog leaves earlier results untouched.
+      base(ctx).createOrReplaceTempView("lineage_children_artifacts")
+      ctx.catalog.lineage.createOrReplaceTempView("lineage_children_edges")
+      ctx.spark.sql(Walk, Map("root" -> rootId, "maxDepth" -> maxDepth))
     }
   }
 

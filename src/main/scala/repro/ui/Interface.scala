@@ -107,16 +107,11 @@ object Interface {
     * inputs.
     */
   def teamHomePage(spec: HumboldtSpec, registry: Registry, ctx: ProviderContext,
-                   teamName: String): Seq[GeneratedTab] = {
-    val pages = spec.custom.get("team_home_pages").flatMap(_.arr).getOrElse(Vector.empty)
-    val page = pages.find(_.apply("team").flatMap(_.str).contains(teamName))
-    val providerNames = page.flatMap(_.apply("providers")).flatMap(_.arr)
-      .getOrElse(Vector.empty).flatMap(_.str)
-    providerNames.flatMap(spec.provider).map { p =>
+                   teamName: String): Seq[GeneratedTab] =
+    Config.teamHomePage(spec, teamName).flatMap(spec.provider).map { p =>
       val bound = p.inputs.filter(_.inputType == "team").map(_.name -> teamName).toMap
       tab(spec, registry, ctx, p, bound)
     }
-  }
 
   /** Filter a view with a query (§5.3 filter semantics): the scope is the
     * view's artifact ids; the result is the view's data narrowed to

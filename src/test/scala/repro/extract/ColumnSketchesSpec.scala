@@ -1,7 +1,8 @@
 package repro.extract
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkJobs, SparkSpec}
+import repro.catalog.LakeSynth
 
 class ColumnSketchesSpec extends SparkSpec {
   import spark.implicits._
@@ -78,6 +79,37 @@ class ColumnSketchesSpec extends SparkSpec {
     val all = ColumnSketches.sketchAll(Seq("t1" -> t1, "t2" -> t2), k = 4)
     assert(all.map(s => (s.table, s.column)).toSet ==
       Set(("t1", "id"), ("t1", "label"), ("t2", "k"), ("t2", "value")))
+    assert(all.map(s => (s.table, s.column)) ==
+      Seq(("t1", "id"), ("t1", "label"), ("t2", "k"), ("t2", "value")))
+
+    // An all-null column and a zero-row table still get a sketch, in place.
+    val sparse = ColumnSketches.sketchAll(Seq(
+      "t1" -> t1.withColumn("blank", lit(null).cast("string")),
+      "none" -> t2.where(lit(false))), k = 4)
+    assert(sparse.map(s => (s.table, s.column, s.distinct)) == Seq(
+      ("t1", "id", 1L), ("t1", "label", 1L), ("t1", "blank", 0L),
+      ("none", "k", 0L), ("none", "value", 0L)))
+    assert(sparse.filter(_.distinct == 0).forall(_.sig.sameElements(Array.fill(4)(Int.MaxValue))))
+  }
+
+  test("sketchAll starts as many Spark jobs for 12 columns as for 2") {
+    val wide = spark.range(100).select(
+      (1 to 12).map(i => (col("id") % (i * 7)).as(s"c$i")): _*)
+    val jobs = Seq(2, 12).map { n =>
+      val table = wide.select(wide.columns.take(n).map(col).toSeq: _*)
+      SparkJobs.count(spark)(ColumnSketches.sketchAll(Seq("t" -> table), k = 8))
+    }
+    assert(jobs.head == jobs.last, s"jobs for 2 and 12 columns: $jobs")
+  }
+
+  test("oracle: distinct count of every lake column matches DuckDB") {
+    val lake = LakeSynth.tables(spark, rows = 200, seed = 7)
+    val got = ColumnSketches.sketchAll(lake, k = 8)
+      .map(s => (s.table, s.column, s.distinct)).toDF("t", "c", "n")
+    val sql = (for ((t, df) <- lake; c <- df.columns.toSeq)
+      yield s"SELECT '$t' AS t, '$c' AS c, CAST(COUNT(DISTINCT $c) AS BIGINT) AS n FROM $t")
+      .mkString("\nUNION ALL\n")
+    Oracle.assertEquivalent(got, sql, lake: _*)
   }
 
   test("values are compared as strings across numeric types") {

@@ -1,5 +1,6 @@
 package repro.providers
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
 import repro.catalog.CatalogTables
@@ -58,5 +59,22 @@ class LineageEdgeCasesSpec extends SparkSpec {
     val parents = out.where(col("depth") === 1)
       .select("parent_id").collect().map(_.getLong(0)).toSet
     assert(parents == Set(1L))
+  }
+
+  private def walk(out: DataFrame): Set[(Long, Int)] =
+    out.select("artifact_id", "depth").collect().map(r => r.getLong(0) -> r.getInt(1)).toSet
+
+  test("an unknown root returns no rows") {
+    val ctx = catalogWith(Seq(1L, 2L), Seq((1L, 2L)))
+    assert(StandardProviders.LineageChildren.fetch(ctx, Map("artifact" -> "99")).count() == 0)
+  }
+
+  test("a fetch keeps its catalog when another catalog is fetched before it runs") {
+    val a = catalogWith(Seq(1L, 2L), Seq((1L, 2L)))
+    val b = catalogWith(Seq(1L, 3L, 4L), Seq((1L, 3L), (3L, 4L)))
+    val outA = StandardProviders.LineageChildren.fetch(a, Map("artifact" -> "1"))
+    val outB = StandardProviders.LineageChildren.fetch(b, Map("artifact" -> "1"))
+    assert(walk(outA) == Set(1L -> 0, 2L -> 1))
+    assert(walk(outB) == Set(1L -> 0, 3L -> 1, 4L -> 2))
   }
 }

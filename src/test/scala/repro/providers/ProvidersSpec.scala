@@ -2,7 +2,7 @@ package repro.providers
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestFixtures}
+import repro.{Oracle, SparkJobs, SparkSpec, TestFixtures}
 import repro.spec.Representation
 
 class ProvidersSpec extends SparkSpec {
@@ -37,6 +37,14 @@ class ProvidersSpec extends SparkSpec {
       Contracts.validate(p.representation, df)
       assert(Contracts.artifactIds(p.representation, df).count() > 0)
     }
+  }
+
+  test("no standard provider starts a Spark job in fetch") {
+    ctx.enrichedArtifacts // build the shared fixture outside the count
+    val jobs = fetchable.map { case (p, inputs) =>
+      p.endpoint -> SparkJobs.count(spark)(p.fetch(ctx, inputs))
+    }
+    assert(jobs.forall(_._2 == 0), s"jobs started in fetch: ${jobs.filter(_._2 > 0)}")
   }
 
   for ((p, _) <- fetchable.filter(_._1.inputs0.nonEmpty)) {
