@@ -29,7 +29,7 @@ class T4_JoinabilityBench extends AnyFunSuite {
     ).map { case (n, df) => n -> df.cache() }
     tables.foreach(_._2.count()) // materialize
 
-    val truth = Joinability.exactEdgesFast(spark, tables, Threshold)
+    val truth = Joinability.exactEdges(tables, Threshold)
     val truthPairs = truth.map(e => (e.srcTable, e.dstTable)).toSet
     require(truthPairs.nonEmpty, "ground truth produced no edges")
 
@@ -108,7 +108,7 @@ class T4_JoinabilityBench extends AnyFunSuite {
 
   test("T4b: lake clique quality at provider defaults") {
     val lake = repro.catalog.LakeSynth.tables(spark, rows = 2000, seed = 7)
-    val truth = Joinability.exactEdgesFast(spark, lake, Threshold)
+    val truth = Joinability.exactEdges(lake, Threshold)
       .map(e => (e.srcTable, e.dstTable)).toSet
     val est = Joinability.edges(
       ColumnSketches.sketchAll(lake, ColumnSketches.DefaultK), Threshold)

@@ -80,15 +80,4 @@ object ColumnSketches {
       found.getOrElse((t, c), ColumnSketch(t, c, 0L, Array.fill(k)(Int.MaxValue)))
     }
   }
-
-  /** Exact containment |a ∩ b| / |a| over distinct values — the ground
-    * truth the sketch estimates (used by the T4 quality bench and tests).
-    */
-  def exactContainment(dfA: DataFrame, colA: String, dfB: DataFrame, colB: String): Double = {
-    val a = dfA.select(col(colA).cast("string").as("v")).na.drop().distinct()
-    val b = dfB.select(col(colB).cast("string").as("v")).na.drop().distinct()
-    val na = a.count()
-    if (na == 0) 0.0
-    else a.intersect(b).count().toDouble / na
-  }
 }

@@ -26,25 +26,23 @@ object Joinability {
     * driver-side; the expensive part — the scans — happened at sketch time.
     */
   def edges(sketches: Seq[ColumnSketch], threshold: Double = DefaultThreshold): Seq[JoinEdge] = {
-    val byTable = sketches.groupBy(_.table)
-    val pairs = for {
-      (ta, colsA) <- byTable.toSeq
-      (tb, colsB) <- byTable.toSeq
-      if ta != tb
-      best <- bestPair(colsA, colsB)
-      if best.score >= threshold
-    } yield best
-    pairs.sortBy(e => (e.srcTable, e.dstTable))
+    val scored = for {
+      a <- sketches
+      b <- sketches
+      if a.table != b.table && a.distinct > 0 && b.distinct > 0
+    } yield JoinEdge(a.table, a.column, b.table, b.column, a.containmentIn(b))
+    bestPairs(scored, threshold)
   }
 
-  private def bestPair(colsA: Seq[ColumnSketch], colsB: Seq[ColumnSketch]): Option[JoinEdge] = {
-    val candidates = for {
-      a <- colsA
-      b <- colsB
-      if a.distinct > 0 && b.distinct > 0
-    } yield JoinEdge(a.table, a.column, b.table, b.column, a.containmentIn(b))
-    candidates.sortBy(e => (-e.score, e.srcColumn, e.dstColumn)).headOption
-  }
+  /** Per ordered table pair, the highest-scoring column pair if it reaches
+    * `threshold`; a tie goes to the smallest `(srcColumn, dstColumn)`.
+    * Sorted by `(srcTable, dstTable)`.
+    */
+  private def bestPairs(scored: Seq[JoinEdge], threshold: Double): Seq[JoinEdge] =
+    scored.groupBy(e => (e.srcTable, e.dstTable)).values
+      .map(_.minBy(e => (-e.score, e.srcColumn, e.dstColumn)))
+      .filter(_.score >= threshold)
+      .toSeq.sortBy(e => (e.srcTable, e.dstTable))
 
   /** Edges as a DataFrame in the graph-provider contract shape. */
   def edgesDf(spark: SparkSession, edges: Seq[JoinEdge]): DataFrame = {
@@ -52,64 +50,33 @@ object Joinability {
     edges.toDF("src_table", "src_column", "dst_table", "dst_column", "score")
   }
 
-  /** Exact containment for *every* ordered column pair across tables, in
-    * two shuffles instead of O(columns²) jobs: melt all columns to
-    * `(table, column, value)` distinct triples (the melt the sketches
-    * aggregate), self-join on value, count intersections per column pair,
-    * divide by the source column's distinct count. Used as ground truth by
-    * the T4 quality bench at scales where the per-pair
-    * [[ColumnSketches.exactContainment]] would be too slow.
+  /** Exact containment |a ∩ b| / |a| over distinct non-null values for
+    * every ordered column pair across tables with a non-empty intersection,
+    * as one Spark plan: melt all columns to `(table, column, value)` distinct
+    * triples (the melt the sketches aggregate), self-join on value, count
+    * intersections per column pair and divide by the source column's
+    * distinct count. The ground truth the sketch estimates, checked against
+    * DuckDB in the tests and used by the T4 quality bench.
     */
-  def exactContainmentsAll(spark: SparkSession,
-                           tables: Seq[(String, DataFrame)]): Seq[JoinEdge] = {
-    val melted = ColumnSketches.melt(tables).cache()
-
-    try {
-      val sizes = melted.groupBy("t", "c").agg(count(lit(1)).as("n"))
-        .collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-
-      val a = melted.select(col("t").as("ta"), col("c").as("ca"), col("v"))
-      val b = melted.select(col("t").as("tb"), col("c").as("cb"), col("v"))
-      val inter = a.join(b, "v")
-        .where(col("ta") =!= col("tb"))
-        .groupBy("ta", "ca", "tb", "cb")
-        .agg(count(lit(1)).as("m"))
-        .collect()
-
-      inter.map { r =>
-        val (ta, ca, tb, cb, m) =
-          (r.getString(0), r.getString(1), r.getString(2), r.getString(3), r.getLong(4))
-        JoinEdge(ta, ca, tb, cb, m.toDouble / sizes((ta, ca)))
-      }.toSeq
-    } finally { melted.unpersist(); () }
+  def exactContainmentsAll(tables: Seq[(String, DataFrame)]): Seq[JoinEdge] = {
+    val melted = ColumnSketches.melt(tables)
+    val a = melted.select(col("t").as("ta"), col("c").as("ca"), col("v"))
+    val b = melted.select(col("t").as("tb"), col("c").as("cb"), col("v"))
+    val sizes = a.groupBy("ta", "ca").agg(count(lit(1)).as("n"))
+    a.join(b, "v")
+      .where(col("ta") =!= col("tb"))
+      .groupBy("ta", "ca", "tb", "cb")
+      .agg(count(lit(1)).as("m"))
+      .join(sizes, Seq("ta", "ca"))
+      .select(col("ta"), col("ca"), col("tb"), col("cb"), col("m") / col("n"))
+      .collect().toSeq
+      .map(r => JoinEdge(r.getString(0), r.getString(1), r.getString(2), r.getString(3),
+        r.getDouble(4)))
   }
 
   /** Best exact edge per ordered table pair above `threshold`, built from
-    * [[exactContainmentsAll]] — same semantics as [[edges]], exact scores.
+    * [[exactContainmentsAll]] with the same best-pair rule as [[edges]].
     */
-  def exactEdgesFast(spark: SparkSession, tables: Seq[(String, DataFrame)],
-                     threshold: Double): Seq[JoinEdge] =
-    exactContainmentsAll(spark, tables)
-      .groupBy(e => (e.srcTable, e.dstTable))
-      .values.map(_.maxBy(e => (e.score, e.srcColumn, e.dstColumn)))
-      .filter(_.score >= threshold)
-      .toSeq.sortBy(e => (e.srcTable, e.dstTable))
-
-  /** Exact joinability edges via set intersection — the oracle the sketch
-    * version is benchmarked against in T4.
-    */
-  def exactEdges(tables: Seq[(String, DataFrame)], threshold: Double): Seq[JoinEdge] = {
-    val pairs = for {
-      (ta, dfA) <- tables
-      (tb, dfB) <- tables
-      if ta != tb
-      ca <- dfA.columns.toSeq
-      cb <- dfB.columns.toSeq
-    } yield JoinEdge(ta, ca, tb, cb, ColumnSketches.exactContainment(dfA, ca, dfB, cb))
-    pairs
-      .groupBy(e => (e.srcTable, e.dstTable))
-      .values.map(_.maxBy(e => (e.score, e.srcColumn, e.dstColumn))) // deterministic best pair
-      .filter(_.score >= threshold)
-      .toSeq.sortBy(e => (e.srcTable, e.dstTable))
-  }
+  def exactEdges(tables: Seq[(String, DataFrame)], threshold: Double): Seq[JoinEdge] =
+    bestPairs(exactContainmentsAll(tables), threshold)
 }

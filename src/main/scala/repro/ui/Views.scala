@@ -104,10 +104,7 @@ object Views {
         HierarchyView(provider,
           scored.orderBy(col("depth"), col(Ranking.ScoreColumn).desc, col("artifact_id")))
       case Representation.Graph =>
-        val nodeIds = df.select(col("src").cast("long").as("artifact_id"))
-          .unionByName(df.select(col("dst").cast("long").as("artifact_id")))
-          .distinct()
-        GraphView(provider, nodes = nodeIds,
+        GraphView(provider, nodes = Contracts.artifactIds(Representation.Graph, df),
           edges = df.orderBy(col("weight").desc))
       case Representation.Categories =>
         val scored = Ranking.scored(df, weights)

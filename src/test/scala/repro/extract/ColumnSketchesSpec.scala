@@ -122,16 +122,16 @@ class ColumnSketchesSpec extends SparkSpec {
     assert(a.jaccard(b) == 1.0)
   }
 
-  test("exactContainment computes the true fraction") {
-    val a = df("v", 1L to 10L)
-    val b = df("v", 6L to 20L)
-    assert(ColumnSketches.exactContainment(a, "v", b, "v") == 0.5)
-    assert(ColumnSketches.exactContainment(b, "v", a, "v") == 5.0 / 15.0)
+  test("exact containment is the true fraction in each direction") {
+    val got = Joinability.exactContainmentsAll(Seq(
+      "a" -> df("v", 1L to 10L), "b" -> df("v", 6L to 20L)))
+      .map(e => (e.srcTable, e.dstTable) -> e.score).toMap
+    assert(got == Map(("a", "b") -> 0.5, ("b", "a") -> 5.0 / 15.0))
   }
 
-  test("exactContainment of empty source is 0") {
-    val a = Seq.empty[Long].toDF("v")
-    val b = df("v", 1L to 5L)
-    assert(ColumnSketches.exactContainment(a, "v", b, "v") == 0.0)
+  test("exact containment of an empty source column yields no row") {
+    val got = Joinability.exactContainmentsAll(Seq(
+      "a" -> Seq.empty[Long].toDF("v"), "b" -> df("v", 1L to 5L)))
+    assert(got.isEmpty)
   }
 }

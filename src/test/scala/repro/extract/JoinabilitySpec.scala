@@ -1,13 +1,35 @@
 package repro.extract
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.catalog.LakeSynth
 
 class JoinabilitySpec extends SparkSpec {
+  import spark.implicits._
 
   private lazy val lake = LakeSynth.tables(spark, rows = 200, seed = 7)
   private lazy val sketches = ColumnSketches.sketchAll(lake, k = 64)
   private lazy val edges = Joinability.edges(sketches, threshold = 0.5)
+
+  /** DuckDB's exact containment of every ordered column pair across tables
+    * of the lake, as the CTE `containments(ta, ca, tb, cb, score)`.
+    */
+  private lazy val containmentsSql = {
+    val melt = (for ((t, df) <- lake; c <- df.columns.toSeq)
+      yield s"SELECT '$t' AS t, '$c' AS c, CAST($c AS VARCHAR) AS v FROM $t")
+      .mkString("\n    UNION ALL\n    ")
+    s"""WITH m AS (
+       |  SELECT DISTINCT t, c, v FROM (
+       |    $melt)
+       |  WHERE v IS NOT NULL),
+       |sizes AS (SELECT t, c, COUNT(*) AS n FROM m GROUP BY t, c),
+       |containments AS (
+       |  SELECT a.t AS ta, a.c AS ca, b.t AS tb, b.c AS cb,
+       |         CAST(COUNT(*) AS DOUBLE) / s.n AS score
+       |  FROM m a JOIN m b ON a.v = b.v AND a.t <> b.t
+       |  JOIN sizes s ON s.t = a.t AND s.c = a.c
+       |  GROUP BY a.t, a.c, b.t, b.c, s.n)
+       |""".stripMargin
+  }
 
   test("planted region_id clique is discovered") {
     // Every pair among the five region-carrying tables should be connected.
@@ -64,32 +86,35 @@ class JoinabilitySpec extends SparkSpec {
     assert(df.count() == edges.size)
   }
 
-  test("fast exact containments agree with the per-pair oracle") {
-    val small = lake.map { case (n, df) => n -> df.limit(60) }
-    val fast = Joinability.exactContainmentsAll(spark, small)
-      .map(e => (e.srcTable, e.srcColumn, e.dstTable, e.dstColumn) -> e.score).toMap
-    // Spot-check a handful of pairs against the slow per-pair computation.
-    val pairs = Seq(
-      ("AIRLINES", "region_id", "REGIONAL_SALES", "region_id"),
-      ("SALES_PIPELINE", "customer_id", "CUSTOMER_BASE", "customer_id"),
-      ("AIRLINES", "carrier", "CUSTOMER_BASE", "customer_name"),
-      ("REGIONAL_SALES", "region_id", "AIRLINES", "region_id"))
-    val byName = small.toMap
-    pairs.foreach { case (ta, ca, tb, cb) =>
-      val slow = ColumnSketches.exactContainment(byName(ta), ca, byName(tb), cb)
-      val got = fast.getOrElse((ta, ca, tb, cb), 0.0)
-      assert(math.abs(got - slow) < 1e-9, s"$ta.$ca -> $tb.$cb: fast=$got slow=$slow")
-    }
+  test("oracle: exact containment of every column pair matches DuckDB") {
+    val got = Joinability.exactContainmentsAll(lake)
+      .map(e => (e.srcTable, e.srcColumn, e.dstTable, e.dstColumn, e.score))
+      .toDF("ta", "ca", "tb", "cb", "score")
+    Oracle.assertEquivalent(got, s"$containmentsSql SELECT * FROM containments", lake: _*)
   }
 
-  test("fast exact edges match the slow exact edges") {
-    val small = lake.map { case (n, df) => n -> df.limit(60) }
-    val slow = Joinability.exactEdges(small, threshold = 0.5)
-      .map(e => (e.srcTable, e.dstTable) -> e.score).toMap
-    val fast = Joinability.exactEdgesFast(spark, small, threshold = 0.5)
-      .map(e => (e.srcTable, e.dstTable) -> e.score).toMap
-    assert(fast.keySet == slow.keySet)
-    fast.foreach { case (k, v) => assert(math.abs(v - slow(k)) < 1e-9, s"$k") }
+  test("oracle: exact edges match DuckDB, column pair included") {
+    val got = Joinability.exactEdges(lake, threshold = 0.5)
+      .map(e => (e.srcTable, e.srcColumn, e.dstTable, e.dstColumn, e.score))
+      .toDF("ta", "ca", "tb", "cb", "score")
+    Oracle.assertEquivalent(got,
+      s"""$containmentsSql
+         |SELECT ta, ca, tb, cb, score FROM (
+         |  SELECT *, ROW_NUMBER() OVER (PARTITION BY ta, tb ORDER BY score DESC, ca, cb) AS rk
+         |  FROM containments)
+         |WHERE rk = 1 AND score >= 0.5""".stripMargin, lake: _*)
+  }
+
+  test("sketch and exact edges break a containment tie the same way") {
+    // Both key columns of `facts` hold exactly the values of `dim.id`, so
+    // each direction has two column pairs at containment 1.0.
+    val facts = (1L to 40L).map(i => (i, i)).toDF("b_key", "a_key")
+    val dim = (1L to 40L).toDF("id")
+    val tiny = Seq("facts" -> facts, "dim" -> dim)
+    def named(es: Seq[JoinEdge]) = es.map(e => (e.srcTable, e.srcColumn, e.dstTable, e.dstColumn))
+    val expected = Seq(("dim", "id", "facts", "a_key"), ("facts", "a_key", "dim", "id"))
+    assert(named(Joinability.edges(ColumnSketches.sketchAll(tiny, k = 16), 0.5)) == expected)
+    assert(named(Joinability.exactEdges(tiny, 0.5)) == expected)
   }
 
   test("edgesDf of empty edge list is empty but well-formed") {

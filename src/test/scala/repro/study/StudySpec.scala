@@ -9,6 +9,9 @@ class StudySpec extends SparkSpec {
   private lazy val harness =
     new StudyHarness(UseCaseSpec.default, Registry.standard, TestFixtures.ctx)
 
+  /** The seed-42 cohort's results, run once for every test that reads them. */
+  private lazy val cohort = Agents.generate(6, seed = 42).flatMap(harness.runAll)
+
   private def agent(searchFirst: Boolean = true, aware: Boolean = true,
                     careful: Boolean = true, findsConfig: Boolean = true, id: Int = 1) =
     AgentProfile(id, searchFirst, aware, careful, findsConfig)
@@ -71,8 +74,7 @@ class StudySpec extends SparkSpec {
   // ---- cohort --------------------------------------------------------------
 
   test("all simulated participants complete all four tasks (§7.2 headline)") {
-    val agents = Agents.generate(6, seed = 42)
-    val results = agents.flatMap(harness.runAll)
+    val results = cohort
     assert(results.size == 24)
     assert(results.forall(_.success), s"failures: ${results.filterNot(_.success)}")
   }
@@ -95,8 +97,7 @@ class StudySpec extends SparkSpec {
   // ---- likert --------------------------------------------------------------
 
   test("likert report covers the four categories with 12 statements") {
-    val agents = Agents.generate(6, seed = 42)
-    val results = agents.flatMap(harness.runAll)
+    val results = cohort
     val rep = Likert.score(results, seed = 42)
     assert(rep.perCategory.map(_.category) ==
       Seq("entry_points", "exploration_previews", "search", "customization"))
@@ -115,8 +116,7 @@ class StudySpec extends SparkSpec {
   }
 
   test("likert scoring is deterministic in the seed") {
-    val agents = Agents.generate(6, seed = 42)
-    val results = agents.flatMap(harness.runAll)
+    val results = cohort
     assert(Likert.score(results, 42) == Likert.score(results, 42))
   }
 
@@ -137,8 +137,7 @@ class StudySpec extends SparkSpec {
   // ---- aggregates ----------------------------------------------------------
 
   test("taskStats aggregates per task") {
-    val agents = Agents.generate(6, seed = 42)
-    val results = agents.flatMap(harness.runAll)
+    val results = cohort
     val stats = SimulatedStudy.taskStats(results)
     assert(stats.map(_.task) == Seq(1, 2, 3, 4))
     stats.foreach { s =>
