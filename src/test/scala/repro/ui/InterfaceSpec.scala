@@ -1,7 +1,7 @@
 package repro.ui
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestFixtures}
+import repro.{SparkJobs, SparkSpec, TestFixtures}
 import repro.providers.Registry
 import repro.spec._
 
@@ -58,6 +58,47 @@ class InterfaceSpec extends SparkSpec {
 
   test("exploration context of unknown artifact is empty") {
     assert(Interface.explorationContext(ctx, 999999L).isEmpty)
+  }
+
+  test("exploration context of pinned artifacts 2-12") {
+    val (alex, mike, john, a, b) = ("Alex", "Mike", "John Doe", "A Team", "B Team")
+    def ctxOf(id: Long, tpe: String, user: String, team: String,
+              badge: Option[String] = None, table: Option[String] = None) =
+      Map("artifact" -> id.toString, "artifact_type" -> tpe, "user" -> user, "team" -> team) ++
+        badge.map("badge" -> _) ++ table.map("table" -> _)
+    val expected = Seq(
+      ctxOf(2, "table", alex, a, Some("endorsed"), Some("SALES_PIPELINE")),
+      ctxOf(3, "table", alex, a, Some("endorsed"), Some("SALES_FORECAST")),
+      ctxOf(4, "table", mike, a, Some("endorsed"), Some("REGIONAL_SALES")),
+      ctxOf(5, "visualization", alex, a),
+      ctxOf(6, "dashboard", alex, a),
+      ctxOf(7, "workbook", john, b),
+      ctxOf(8, "workbook", john, b, Some("warning")),
+      ctxOf(9, "workbook", john, b),
+      ctxOf(10, "dashboard", mike, a, Some("endorsed")),
+      ctxOf(11, "table", john, b, table = Some("CUSTOMER_BASE")),
+      ctxOf(12, "visualization", alex, a),
+    )
+    assert((2L to 12L).map(Interface.explorationContext(ctx, _)) == expected)
+  }
+
+  test("exploration context binds the smallest of several badge names, in any row order") {
+    import spark.implicits._
+    val extra = Seq((1L, "deprecated", 2L), (1L, "warning", 3L))
+      .toDF("artifact_id", "badge", "badged_by")
+      .withColumn("badged_at", current_date())
+    for (badges <- Seq(ctx.catalog.badges.unionByName(extra), extra.unionByName(ctx.catalog.badges))) {
+      val c = Interface.explorationContext(ctx.copy(catalog = ctx.catalog.copy(badges = badges)), 1L)
+      assert(c("badge") == "deprecated")
+    }
+  }
+
+  test("exploration context starts fewer Spark jobs than the two queries it replaced") {
+    // The artifact query and the separate badge query this replaced started
+    // 4 jobs in this session.
+    Interface.explorationContext(ctx, 1L)
+    val jobs = SparkJobs.count(spark)(Interface.explorationContext(ctx, 1L))
+    assert(jobs < 4, jobs)
   }
 
   test("selecting a table lights up all input-requiring exploration providers") {
