@@ -79,7 +79,7 @@ class T3_SearchPerfBench extends AnyFunSuite {
 
       var compiledIds: Set[Long] = Set.empty
       val compiledMs = timedMedianMs() {
-        compiledIds = compiler.compile(ast)
+        compiledIds = compiler.run(ast)
           .select("artifact_id").collect().map(_.getLong(0)).toSet
       }
       var naiveIds: Set[Long] = Set.empty

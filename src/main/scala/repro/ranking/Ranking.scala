@@ -40,18 +40,4 @@ object Ranking {
     if (s.columns.contains("artifact_id")) s.orderBy(col(ScoreColumn).desc, col("artifact_id"))
     else s.orderBy(col(ScoreColumn).desc)
   }
-
-  /** Combine per-provider scored id lists: union, summing scores per
-    * artifact — the cross-provider combination the paper requires when
-    * "multiple metadata providers are combined e.g., for advanced search
-    * queries". Inputs must carry (artifact_id, score).
-    */
-  def combine(scoredIds: Seq[DataFrame]): DataFrame = {
-    require(scoredIds.nonEmpty, "combine needs at least one input")
-    scoredIds
-      .map(_.select(col("artifact_id").cast("long"), col(ScoreColumn).cast("double")))
-      .reduce(_ unionByName _)
-      .groupBy("artifact_id")
-      .agg(sum(ScoreColumn).as(ScoreColumn))
-  }
 }

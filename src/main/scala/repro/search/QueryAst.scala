@@ -31,14 +31,19 @@ sealed trait Query {
 }
 
 object Query {
+  /** A query element: one provider call returning a list of data artifacts
+    * (§5.3). Connectors combine elements.
+    */
+  sealed trait Element extends Query
+
   /** Conventional keyword search term. */
-  final case class Text(words: String) extends Query
+  final case class Text(words: String) extends Element
 
   /** `key: value` — key is a spec-declared search key. */
-  final case class FieldPred(key: String, value: String) extends Query
+  final case class FieldPred(key: String, value: String) extends Element
 
   /** `:provider_name(arg, ...)` — direct provider invocation. */
-  final case class ProviderCall(name: String, args: Seq[String]) extends Query
+  final case class ProviderCall(name: String, args: Seq[String]) extends Element
 
   final case class And(left: Query, right: Query) extends Query
   final case class Or(left: Query, right: Query)  extends Query

@@ -1,164 +1,147 @@
 package repro.search
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.providers.{Contracts, ProviderBinding, ProviderContext, Registry}
+import repro.providers.{Contracts, Provider, ProviderBinding, ProviderContext, Registry}
 import repro.ranking.Ranking
-import repro.spec.{HumboldtSpec, MetadataProviderSpec, Surface}
+import repro.spec.{HumboldtSpec, MetadataProviderSpec, RankingWeight, Representation, Surface}
 
-/** Compiles query ASTs into Catalyst plans over the metadata catalog.
+/** Compiles query ASTs into one Catalyst plan over the metadata catalog.
   *
-  * Each query element resolves through the spec to a provider, fetches, and
-  * reduces to a scored artifact-id set ("Each query element returns a list
-  * of data artifacts", §5.3). Logical connectors become relational ops —
-  * `&` an inner join summing scores, `|` a union-aggregate, negation an
-  * anti-join against the universe — so a whole query executes as one
-  * optimized Spark plan. *Search* runs against all artifacts; *filter* runs
-  * against a view's scope (`§5.3`: "The difference between search and
-  * filters is the set of data artifacts it is performed on").
+  * Each query element resolves through the spec to a provider and reduces
+  * to a scored list of artifact ids ("Each query element returns a list of
+  * data artifacts", §5.3). Every element is left-joined once onto the
+  * enriched artifacts, so membership in an element is a non-null id and the
+  * logical connectors are column algebra over one relation: `&` is `&&`
+  * summing scores, `|` is `||` summing the scores of the sides that hold,
+  * and negation is `!` with score 0. *Search* runs against all artifacts;
+  * *filter* narrows that relation to a view's scope first (§5.3: "The
+  * difference between search and filters is the set of data artifacts it
+  * is performed on").
   */
 final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderContext) {
+  import QueryCompiler.Bound
 
   private val parser = QueryParser.fromSpec(spec)
   private val searchable = spec.providersOn(Surface.Search)
 
-  /** Parse and execute; result carries full artifact metadata plus `score`,
-    * ordered best-first. `scope` switches filter semantics.
+  /** Parse, bind and execute; result carries full artifact metadata plus
+    * `score`, ordered best-first. `scope` switches filter semantics.
     */
   def search(input: String, scope: Option[DataFrame] = None): Either[String, DataFrame] =
-    parser.parse(input).map(q => run(q, scope))
+    parser.parse(input).flatMap(plan(_, scope))
 
-  /** Execute a parsed query (id + score, unordered). */
-  def compile(q: Query, scope: Option[DataFrame] = None): DataFrame = {
-    val ids = eval(q, scope)
-    scope match {
-      case None => ids
-      case Some(s) =>
-        val scopeIds = s.select(col("artifact_id").cast("long")).distinct()
-        ids.join(scopeIds, "artifact_id")
+  /** Execute a parsed query, as [[search]] does; a query element that does
+    * not bind throws `IllegalArgumentException`.
+    */
+  def run(q: Query, scope: Option[DataFrame] = None): DataFrame =
+    plan(q, scope).fold(e => throw new IllegalArgumentException(e), identity)
+
+  private def elements(q: Query): Seq[Query.Element] = q match {
+    case e: Query.Element => Seq(e)
+    case Query.And(l, r)  => elements(l) ++ elements(r)
+    case Query.Or(l, r)   => elements(l) ++ elements(r)
+    case Query.Not(inner) => elements(inner)
+  }
+
+  /** Binds every element before any DataFrame is built, so a query that
+    * does not bind is a `Left`.
+    */
+  private def plan(q: Query, scope: Option[DataFrame]): Either[String, DataFrame] = {
+    val elems = elements(q).distinct
+    val bound = elems.map(bind)
+    bound.collectFirst { case Left(e) => e }.toLeft {
+      val enriched = ctx.enrichedArtifacts
+      val universe = scope.fold(enriched)(s =>
+        enriched.join(s.select(col("artifact_id").cast("long")), Seq("artifact_id"), "left_semi"))
+      val (joined, terms) = bound.collect { case Right(b) => b }.zipWithIndex
+        .foldLeft((universe, Vector.empty[(Column, Column)])) { case ((df, acc), (b, i)) =>
+          val (next, term) = joinElement(df, b, i)
+          (next, acc :+ term)
+        }
+      val byElement = elems.zip(terms).toMap
+
+      def algebra(q: Query): (Column, Column) = q match {
+        case e: Query.Element => byElement(e)
+        case Query.And(l, r) =>
+          val ((pl, sl), (pr, sr)) = (algebra(l), algebra(r))
+          (pl && pr, sl + sr)
+        case Query.Or(l, r) =>
+          val ((pl, sl), (pr, sr)) = (algebra(l), algebra(r))
+          (pl || pr, when(pl, sl).otherwise(0.0) + when(pr, sr).otherwise(0.0))
+        case Query.Not(inner) => (!algebra(inner)._1, lit(0.0))
+      }
+
+      val (pred, score) = algebra(q)
+      joined.where(pred)
+        .select(enriched.columns.map(col) :+ score.as(Ranking.ScoreColumn): _*)
+        .orderBy(col(Ranking.ScoreColumn).desc, col("artifact_id"))
     }
   }
 
-  /** compile + join back artifact metadata + order (what the UI lists). */
-  def run(q: Query, scope: Option[DataFrame] = None): DataFrame = {
-    val ids = compile(q, scope)
-    ctx.enrichedArtifacts
-      .join(ids.withColumnRenamed("artifact_id", "q_aid"),
-        col("artifact_id") === col("q_aid"))
-      .drop("q_aid")
-      .orderBy(col(Ranking.ScoreColumn).desc, col("artifact_id"))
+  /** Left-joins element `i` onto `df` as `(q{i}_aid, q{i}_score)`: the
+    * provider's rows (a graph's `src` and `dst` ids), scored and
+    * deduplicated on the id. Returns the element's membership and score
+    * over the joined relation. A weight reads the element's own row where
+    * that row carries the field, else the enriched row, else adds 0.
+    */
+  private def joinElement(df: DataFrame, b: Bound, i: Int): (DataFrame, (Column, Column)) = {
+    val out = b.impl.fetch(ctx, b.inputs)
+    val rows = if (b.impl.representation == Representation.Graph)
+      Contracts.artifactIds(Representation.Graph, out) else out
+    val (aid, own) = (s"q${i}_aid", s"q${i}_score")
+    val ids = rows.select(col("artifact_id").cast("long").as(aid),
+        Ranking.scoreExpr(b.weights, rows).as(own))
+      .dropDuplicates(aid)
+    val lacking = b.weights.filterNot(w => rows.columns.exists(_.equalsIgnoreCase(w.field)))
+    val score = if (lacking.isEmpty) col(own)
+      else col(own) + Ranking.scoreExpr(lacking, ctx.enrichedArtifacts)
+    (df.join(ids, col("artifact_id") === col(aid), "left"), (col(aid).isNotNull, score))
   }
 
-  private def allIds: DataFrame =
-    ctx.catalog.artifacts.select(col("artifact_id").cast("long"))
-
-  private def eval(q: Query, scope: Option[DataFrame]): DataFrame = q match {
-    case Query.Text(words) => evalText(words)
+  private def bind(e: Query.Element): Either[String, Bound] = e match {
+    case Query.Text(words) =>
+      // Prefer a spec-declared text provider (so admins can weight or hide
+      // it); fall back to the registered text_match endpoint with global
+      // ranking, since conventional search is always available (§6.4).
+      val inputs = Map("q" -> words)
+      searchable.find(_.endpoint == "text_match") match {
+        case Some(p) => Right(bound(p, inputs))
+        case None => registry.get("text_match").toRight("no text_match endpoint registered")
+          .map(Bound(_, inputs, spec.globalRanking))
+      }
 
     case Query.FieldPred(key, value) =>
-      val p = searchable.find(_.searchKey.exists(_.equalsIgnoreCase(key)))
-        .getOrElse(throw new IllegalArgumentException(
-          s"no search-visible provider with search key '$key'"))
-      evalProvider(p, bindFirstInput(p, value))
+      for {
+        p <- searchable.find(_.searchKey.exists(_.equalsIgnoreCase(key)))
+          .toRight(s"no search-visible provider with search key '$key'")
+        in <- p.inputs.headOption
+          .toRight(s"provider '${p.name}' takes no input but got value '$value'")
+      } yield bound(p, Map(in.name -> value))
 
     case Query.ProviderCall(name, args) =>
-      val p = searchable.find(sp => QueryParser.normalize(sp.name) == name)
-        .getOrElse(throw new IllegalArgumentException(
-          s"no search-visible provider named '$name'"))
-      evalProvider(p, bindPositional(p, args))
-
-    case Query.And(l, r) =>
-      val lv = eval(l, scope)
-      val rv = eval(r, scope)
-        .withColumnRenamed(Ranking.ScoreColumn, "r_score")
-      lv.join(rv, "artifact_id")
-        .withColumn(Ranking.ScoreColumn, col(Ranking.ScoreColumn) + col("r_score"))
-        .drop("r_score")
-
-    case Query.Or(l, r) =>
-      Ranking.combine(Seq(eval(l, scope), eval(r, scope)))
-
-    case Query.Not(inner) =>
-      val universe = scope
-        .map(_.select(col("artifact_id").cast("long")).distinct())
-        .getOrElse(allIds)
-      universe.join(eval(inner, scope), Seq("artifact_id"), "left_anti")
-        .withColumn(Ranking.ScoreColumn, lit(0.0))
+      for {
+        p <- searchable.find(sp => QueryParser.normalize(sp.name) == name)
+          .toRight(s"no search-visible provider named '$name'")
+        inputs <- bindPositional(p, args)
+      } yield bound(p, inputs)
   }
 
-  private def evalText(words: String): DataFrame = {
-    // Prefer a spec-declared text provider (so admins can weight or hide
-    // it); fall back to the registered text_match endpoint with global
-    // ranking, since conventional search is always available (§6.4).
-    val specProvider = searchable.find(_.endpoint == "text_match")
-    specProvider match {
-      case Some(p) => evalProvider(p, Map("q" -> words))
-      case None =>
-        val impl = registry.get("text_match").getOrElse(
-          throw new IllegalStateException("no text_match endpoint registered"))
-        score(impl.fetch(ctx, Map("q" -> words)), impl.representation, spec.globalRanking)
-    }
+  private def bound(p: MetadataProviderSpec, inputs: Map[String, String]): Bound =
+    Bound(ProviderBinding.resolve(p, registry), inputs, spec.effectiveRanking(p))
+
+  private def bindPositional(p: MetadataProviderSpec, args: Seq[String]): Either[String, Map[String, String]] = {
+    val inputs = p.inputs.map(_.name).zip(args).toMap
+    val unmet = p.requiredInputs.map(_.name).filterNot(inputs.contains)
+    if (args.size > p.inputs.size)
+      Left(s"provider '${p.name}' takes at most ${p.inputs.size} arguments, got ${args.size}")
+    else if (unmet.nonEmpty)
+      Left(s"provider '${p.name}' is missing required inputs: ${unmet.mkString(", ")}")
+    else Right(inputs)
   }
+}
 
-  private def evalProvider(p: MetadataProviderSpec,
-                           inputs: Map[String, String]): DataFrame = {
-    val impl = ProviderBinding.resolve(p, registry)
-    score(impl.fetch(ctx, inputs), impl.representation,
-      spec.effectiveRanking(p))
-  }
-
-  /** Reduce any provider result to (artifact_id, score) using the
-    * provider's effective ranking weights over enriched artifact fields.
-    *
-    * Artifact-shaped results already carry the enriched metadata columns,
-    * so they are scored in place (one scan); only graph-shaped results —
-    * whose rows are edges, not artifacts — need the join back to the
-    * enriched relation.
-    */
-  private def score(df: DataFrame, rep: repro.spec.Representation,
-                    weights: Seq[repro.spec.RankingWeight]): DataFrame = {
-    val present = df.columns.map(_.toLowerCase).toSet
-    val scorableInPlace = rep != repro.spec.Representation.Graph &&
-      present.contains("artifact_id") &&
-      weights.forall(w => !enrichedFields.contains(w.field.toLowerCase) ||
-        present.contains(w.field.toLowerCase))
-    if (scorableInPlace) {
-      // Score is a row-level function of artifact fields, so duplicates
-      // (e.g. one artifact under two badge categories) collapse safely.
-      Ranking.scored(df, weights)
-        .select(col("artifact_id").cast("long"), col(Ranking.ScoreColumn))
-        .dropDuplicates("artifact_id")
-    } else {
-      val ids = Contracts.artifactIds(rep, df)
-      val joined = ctx.enrichedArtifacts
-        .join(ids.withColumnRenamed("artifact_id", "e_aid"),
-          col("artifact_id") === col("e_aid"))
-        .drop("e_aid")
-      Ranking.scored(joined, weights)
-        .select(col("artifact_id").cast("long"), col(Ranking.ScoreColumn))
-    }
-  }
-
-  /** Fields known to live on the enriched artifact relation — a weight on
-    * one of these must be computed there if the provider did not project it.
-    */
-  private val enrichedFields: Set[String] =
-    Set("views", "favorites", "endorsements", "age_days")
-
-  private def bindFirstInput(p: MetadataProviderSpec, value: String): Map[String, String] =
-    p.inputs.headOption match {
-      case Some(in) => Map(in.name -> value)
-      case None => throw new IllegalArgumentException(
-        s"provider '${p.name}' takes no input but got value '$value'")
-    }
-
-  private def bindPositional(p: MetadataProviderSpec, args: Seq[String]): Map[String, String] = {
-    require(args.size <= p.inputs.size,
-      s"provider '${p.name}' takes at most ${p.inputs.size} arguments, got ${args.size}")
-    val bound = p.inputs.map(_.name).zip(args).toMap
-    val unmet = p.requiredInputs.map(_.name).filterNot(bound.contains)
-    require(unmet.isEmpty,
-      s"provider '${p.name}' is missing required inputs: ${unmet.mkString(", ")}")
-    bound
-  }
+private object QueryCompiler {
+  /** A query element bound to its implementation, inputs and weights. */
+  final case class Bound(impl: Provider, inputs: Map[String, String], weights: Seq[RankingWeight])
 }

@@ -57,23 +57,6 @@ class RankingSpec extends SparkSpec {
     assert(got == Seq(1L, 2L))
   }
 
-  test("combine sums scores across providers") {
-    val a = Seq((1L, 2.0), (2L, 1.0)).toDF("artifact_id", "score")
-    val b = Seq((1L, 3.0), (3L, 4.0)).toDF("artifact_id", "score")
-    val got = Ranking.combine(Seq(a, b)).collect()
-      .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    assert(got == Map(1L -> 5.0, 2L -> 1.0, 3L -> 4.0))
-  }
-
-  test("combine of a single input is identity on ids") {
-    val a = Seq((1L, 2.0)).toDF("artifact_id", "score")
-    assert(Ranking.combine(Seq(a)).count() == 1)
-  }
-
-  test("combine with no inputs is rejected") {
-    assertThrows[IllegalArgumentException](Ranking.combine(Seq.empty))
-  }
-
   test("oracle: catalog-wide scores match DuckDB arithmetic") {
     val enriched = ctx.enrichedArtifacts
     val sparkDf = Ranking.scored(enriched,

@@ -2,9 +2,11 @@ package repro.search
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestFixtures}
-import repro.providers.Registry
-import repro.spec.UseCaseSpec
+import org.scalacheck.Gen
+import repro.{Oracle, PropCheck, SparkSpec, TestFixtures}
+import repro.catalog.CatalogSchema
+import repro.providers.{Provider, ProviderContext, Registry}
+import repro.spec._
 
 class QueryCompilerSpec extends SparkSpec {
 
@@ -177,7 +179,7 @@ class QueryCompilerSpec extends SparkSpec {
 
   test("unknown field inside compilation throws informatively") {
     val q = Query.FieldPred("bogus key", "x")
-    val e = intercept[IllegalArgumentException](compiler.compile(q))
+    val e = intercept[IllegalArgumentException](compiler.run(q))
     assert(e.getMessage.contains("bogus key"))
   }
 
@@ -185,5 +187,160 @@ class QueryCompilerSpec extends SparkSpec {
     val got = idSet("'airlines' | badged: warning")
     assert(got.contains(1L)) // AIRLINES by text
     assert(got.contains(8L)) // CHURN_ANALYSIS has warning badge
+  }
+
+  test("inputs that do not bind are a Left, not an exception") {
+    Seq(
+      ":owned_by('a','b')" -> "provider 'Owned By' takes at most 1 arguments, got 2",
+      ":owned_by()" -> "provider 'Owned By' is missing required inputs: user",
+      ":recent_documents('x')" -> "provider 'Recent Documents' takes at most 0 arguments, got 1",
+    ).foreach { case (input, message) =>
+      assert(compiler.search(input) == Left(message), input)
+    }
+  }
+
+  // ---- scoring rules -------------------------------------------------------
+
+  private def scores(c: QueryCompiler, input: String): Map[Long, Double] =
+    c.search(input).fold(e => fail(s"'$input' failed: $e"), identity)
+      .select(col("artifact_id").cast("long"), col("score")).collect()
+      .map(r => r.getLong(0) -> r.getDouble(1)).toMap
+
+  /** The global weights over the enriched row, written out for DuckDB. */
+  private val globalScoreSql =
+    """CAST(a.favorites AS DOUBLE) * 4.3 + CAST(a.views AS DOUBLE) * 1.5
+      |  + COALESCE(e.n, 0) * 10.0""".stripMargin
+  private val endorsedSql =
+    """LEFT JOIN (SELECT artifact_id, COUNT(*) AS n FROM badges
+      |           WHERE badge = 'endorsed' GROUP BY artifact_id) e
+      |  ON a.artifact_id = e.artifact_id""".stripMargin
+
+  test("a weight on a field only the provider's rows carry scores from those rows") {
+    object ViewsNear extends Provider {
+      val endpoint = "views_near"
+      val representation: Representation = Representation.ListRep
+      def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame =
+        ctx.enrichedArtifacts
+          .withColumn("usage_distance", abs(col("views") - need(inputs, "views").toLong))
+    }
+    val entry = MetadataProviderSpec(
+      name = "Views Near", category = "relatedness", description = "Artifacts by view distance",
+      representation = Representation.ListRep, endpoint = "views_near",
+      inputs = Seq(InputSpec("views", "text", required = true)),
+      visibility = Seq(Surface.Search), searchKey = Some("views near"),
+      ranking = Seq(RankingWeight("usage_distance", -1.0)))
+    val c = new QueryCompiler(UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers :+ entry),
+      Registry.standard.register(ViewsNear), ctx)
+    val views = ctx.enrichedArtifacts.select(col("artifact_id").cast("long"), col("views")).collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val got = scores(c, "views near: 1000")
+    assert(got.keySet == views.keySet)
+    got.foreach { case (id, s) => assert(s == -math.abs(views(id) - 1000).toDouble, id) }
+  }
+
+  test("oracle: a searchable graph element returns src and dst, scored on the enriched row") {
+    val withGraph = UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers.map {
+      case p if p.representation == Representation.Graph =>
+        p.copy(visibility = p.visibility :+ Surface.Search, searchKey = Some("joinable with"))
+      case p => p
+    })
+    val df = new QueryCompiler(withGraph, Registry.standard, ctx).search("joinable with: AIRLINES")
+      .fold(e => fail(e), identity)
+      .select(col("artifact_id").cast("long").as("artifact_id"), round(col("score"), 4).as("score"))
+    assert(df.where(col("artifact_id") === 1L).count() == 1)
+    Oracle.assertEquivalent(df,
+      s"""WITH nodes AS (
+         |  SELECT s.artifact_id AS src, d.artifact_id AS dst
+         |  FROM edges g
+         |  JOIN artifacts s ON upper(s.name) = upper(g.src_table)
+         |  JOIN artifacts d ON upper(d.name) = upper(g.dst_table)
+         |  WHERE lower(g.src_table) = 'airlines' OR lower(g.dst_table) = 'airlines')
+         |SELECT CAST(a.artifact_id AS BIGINT) AS artifact_id, ROUND($globalScoreSql, 4) AS score
+         |FROM artifacts a $endorsedSql
+         |WHERE a.artifact_id IN (SELECT src FROM nodes UNION SELECT dst FROM nodes)
+         |""".stripMargin,
+      "artifacts" -> cat.artifacts, "badges" -> cat.badges,
+      "edges" -> ctx.joinEdges.get.select("src_table", "dst_table"))
+  }
+
+  test("an artifact in both branches of | gets the sum of both scores") {
+    val single = scores(compiler, "badged: endorsed")(1L)
+    assert(scores(compiler, "type: table")(1L) == single)
+    assert(scores(compiler, "type: table | badged: endorsed")(1L) == 2 * single)
+    assert(scores(compiler, "type: dashboard | badged: endorsed")(1L) == single)
+  }
+
+  test("! adds 0 to the score") {
+    val single = scores(compiler, "type: table")(1L)
+    assert(scores(compiler, "type: table & ! badged: warning")(1L) == single)
+    assert(scores(compiler, "! badged: warning").values.forall(_ == 0.0))
+  }
+
+  // ---- random queries against DuckDB ----------------------------------------
+
+  private val users = Seq("Alex", "Mike", "John Doe", "user_7")
+
+  private val elementGen: Gen[Query] = Gen.oneOf(
+    Gen.oneOf(CatalogSchema.ArtifactTypes).map(Query.FieldPred("type", _)),
+    Gen.oneOf(users).map(Query.FieldPred("owned by", _)),
+    Gen.oneOf(users).map(Query.FieldPred("created by", _)),
+    Gen.oneOf(CatalogSchema.BadgeTypes).map(Query.FieldPred("badged", _)),
+    Gen.oneOf(users).map(Query.FieldPred("badged by", _)),
+    Gen.const(Query.ProviderCall("recent_documents", Nil)),
+    Gen.oneOf("sales", "airlines", "revenue", "churn").map(Query.Text(_)))
+
+  private def queryGen(depth: Int): Gen[Query] =
+    if (depth == 0) elementGen
+    else Gen.frequency(
+      2 -> elementGen,
+      3 -> Gen.zip(queryGen(depth - 1), queryGen(depth - 1)).map { case (l, r) => Query.And(l, r) },
+      3 -> Gen.zip(queryGen(depth - 1), queryGen(depth - 1)).map { case (l, r) => Query.Or(l, r) },
+      1 -> queryGen(depth - 1).map(Query.Not(_)))
+
+  /** `(predicate, score)` in DuckDB SQL over `a`, which carries the global
+    * score `s`: one predicate per element, scores summed over the elements
+    * that hold.
+    */
+  private def sql(q: Query): (String, String) = q match {
+    case Query.FieldPred("type", v) => (s"a.artifact_type = '$v'", "a.s")
+    case Query.FieldPred("owned by" | "created by", v) =>
+      (s"EXISTS (SELECT 1 FROM users u WHERE u.user_id = a.owner_id AND u.user_name = '$v')", "a.s")
+    case Query.FieldPred("badged", v) =>
+      (s"EXISTS (SELECT 1 FROM badges b WHERE b.artifact_id = a.artifact_id AND b.badge = '$v')", "a.s")
+    case Query.FieldPred("badged by", v) =>
+      (s"""EXISTS (SELECT 1 FROM badges b JOIN users u ON b.badged_by = u.user_id
+          |        WHERE b.artifact_id = a.artifact_id AND u.user_name = '$v')""".stripMargin, "a.s")
+    case Query.ProviderCall("recent_documents", Nil) => ("TRUE", "a.s")
+    case Query.Text(w) =>
+      (s"COALESCE(lower(a.name) LIKE '%$w%' OR lower(a.description) LIKE '%$w%', FALSE)", "a.s")
+    case Query.And(l, r) =>
+      val ((pl, sl), (pr, sr)) = (sql(l), sql(r))
+      (s"($pl AND $pr)", s"($sl + $sr)")
+    case Query.Or(l, r) =>
+      val ((pl, sl), (pr, sr)) = (sql(l), sql(r))
+      (s"($pl OR $pr)", s"(CASE WHEN $pl THEN $sl ELSE 0 END + CASE WHEN $pr THEN $sr ELSE 0 END)")
+    case Query.Not(i) => (s"(NOT ${sql(i)._1})", "0")
+    case other => fail(s"no SQL for $other")
+  }
+
+  test("oracle: random queries up to depth 3 match DuckDB in ids and scores") {
+    import spark.implicits._
+    val cases = scala.collection.mutable.LinkedHashMap.empty[String, Query]
+    PropCheck.forAllG(queryGen(3), n = 30)(q => cases(q.render) = q)
+    val got = cases.keys.toSeq.flatMap { text =>
+      compiler.search(text).fold(e => fail(s"'$text' failed: $e"), identity)
+        .select(col("artifact_id").cast("long"), round(col("score"), 4)).collect()
+        .map(r => (text, r.getLong(0), r.getDouble(1)))
+    }.toDF("qid", "artifact_id", "score")
+    val expected = cases.map { case (text, q) =>
+      val (pred, score) = sql(q)
+      s"""SELECT '${text.replace("'", "''")}' AS qid, CAST(a.artifact_id AS BIGINT) AS artifact_id,
+         |  ROUND($score, 4) AS score
+         |FROM (SELECT a.*, $globalScoreSql AS s FROM artifacts a $endorsedSql) a
+         |WHERE $pred
+         |""".stripMargin
+    }.mkString("UNION ALL\n")
+    Oracle.assertEquivalent(got, expected,
+      "artifacts" -> cat.artifacts, "badges" -> cat.badges, "users" -> cat.users)
   }
 }
