@@ -34,7 +34,7 @@ object RunSearch {
       val compiler = new QueryCompiler(spec, Registry.standard, ctx)
       println(s"[RunSearch] query: $query")
       compiler.search(query) match {
-        case Left(err) => println(s"[RunSearch] parse error: $err"); sys.exit(2)
+        case Left(err) => println(s"[RunSearch] query error: $err"); sys.exit(2)
         case Right(df) =>
           df.select("artifact_id", "name", "artifact_type", "score")
             .show(20, truncate = false)

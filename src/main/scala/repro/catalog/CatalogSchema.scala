@@ -37,10 +37,18 @@ final case class CatalogTables(
     lineage: DataFrame,
     usage: DataFrame,
 ) {
-  /** Cache all member frames — benches reuse the catalog across queries. */
-  def cached(): CatalogTables =
-    CatalogTables(artifacts.cache(), users.cache(), teams.cache(),
-      badges.cache(), lineage.cache(), usage.cache())
+  /** Cache all member frames — benches reuse the catalog across queries.
+    * Each is cached as one partition: a single partition satisfies every
+    * clustered distribution, so no aggregate, `distinct` or join above these
+    * relations plans a shuffle, and every scan is one task (DESIGN.md §6).
+    * `coalesce` merges the upstream partitions without redistributing
+    * them, so per-partition `rand(seed)` draws the same catalog.
+    */
+  def cached(): CatalogTables = {
+    def one(df: DataFrame): DataFrame = df.coalesce(1).cache()
+    CatalogTables(one(artifacts), one(users), one(teams),
+      one(badges), one(lineage), one(usage))
+  }
 
   /** Artifacts enriched with ranking-relevant derived metadata fields:
     * `endorsements` (badge count) and `age_days`. Ranking weights in specs
@@ -63,8 +71,42 @@ final case class CatalogTables(
       .cache()
   }
 
+  /** Downstream lineage of every artifact: `(root, artifact_id, parent_id,
+    * depth)`, one row per path from `root`, bounded by
+    * [[CatalogTables.LineageMaxDepth]] so cycles stop at the bound. One
+    * `WITH RECURSIVE` query anchored at every artifact, built on the first
+    * lineage fetch and cached, so a fetch is a filter on `root` rather than
+    * a recursion of its own (DESIGN.md "Lineage").
+    */
+  lazy val lineageClosure: DataFrame = {
+    // Each catalog registers views of its own: replacing a view uncaches
+    // what was built over the view it replaces.
+    val n = CatalogTables.closures.incrementAndGet()
+    artifacts.createOrReplaceTempView(s"lineage_closure_artifacts_$n")
+    lineage.createOrReplaceTempView(s"lineage_closure_edges_$n")
+    artifacts.sparkSession.sql(
+      s"""WITH RECURSIVE walk(root, artifact_id, parent_id, depth) AS (
+         |  SELECT artifact_id, artifact_id, CAST(NULL AS BIGINT), 0
+         |  FROM lineage_closure_artifacts_$n
+         |  UNION ALL
+         |  SELECT w.root, l.child_id, l.parent_id, w.depth + 1
+         |  FROM lineage_closure_edges_$n l JOIN walk w ON l.parent_id = w.artifact_id
+         |  WHERE w.depth < :maxDepth
+         |)
+         |SELECT root, artifact_id, parent_id, depth FROM walk
+         |""".stripMargin, Map("maxDepth" -> CatalogTables.LineageMaxDepth))
+      .coalesce(1).cache()
+  }
+
   /** All tables by name, for oracle registration and persistence. */
   def byName: Map[String, DataFrame] = Map(
     "artifacts" -> artifacts, "users" -> users, "teams" -> teams,
     "badges" -> badges, "lineage" -> lineage, "usage" -> usage)
+}
+
+object CatalogTables {
+  /** How deep a lineage walk goes below its root. */
+  val LineageMaxDepth = 8
+
+  private val closures = new java.util.concurrent.atomic.AtomicLong
 }

@@ -2,6 +2,7 @@ package repro.providers
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.catalog.CatalogTables
 import repro.spec.Representation
 import repro.spec.Representation._
 
@@ -135,36 +136,21 @@ object StandardProviders {
   }
 
   /** Downstream lineage of a selected artifact as a hierarchy (Figure 6
-    * "hierarchy": table -> visualization -> dashboard). Expansion is one
-    * `WITH RECURSIVE` query bounded by `maxDepth`: a node reached along
-    * several paths appears once per path, and cycles stop at the bound. The
-    * DuckDB recursive CTE in tests is the oracle.
+    * "hierarchy": table -> visualization -> dashboard). The rows are the
+    * selection's part of the catalog's cached lineage closure
+    * ([[repro.catalog.CatalogTables.lineageClosure]]): a node reached along
+    * several paths appears once per path, and cycles stop at `maxDepth`.
+    * The DuckDB recursive CTE in tests is the oracle.
     */
   object LineageChildren extends Provider {
     val endpoint = "lineage_children"
     val representation: Representation = Hierarchy
-    val maxDepth = 8
-
-    private val Walk =
-      """WITH RECURSIVE walk(artifact_id, parent_id, depth) AS (
-        |  SELECT artifact_id, CAST(NULL AS BIGINT), 0
-        |  FROM lineage_children_artifacts WHERE artifact_id = :root
-        |  UNION ALL
-        |  SELECT l.child_id, l.parent_id, w.depth + 1
-        |  FROM lineage_children_edges l JOIN walk w ON l.parent_id = w.artifact_id
-        |  WHERE w.depth < :maxDepth
-        |)
-        |SELECT a.*, w.parent_id, w.depth
-        |FROM walk w JOIN lineage_children_artifacts a ON a.artifact_id = w.artifact_id
-        |""".stripMargin
+    val maxDepth: Int = CatalogTables.LineageMaxDepth
 
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val rootId = need(inputs, "artifact").toLong
-      // The views resolve when `sql` analyzes the query, so re-registering
-      // them for another catalog leaves earlier results untouched.
-      base(ctx).createOrReplaceTempView("lineage_children_artifacts")
-      ctx.catalog.lineage.createOrReplaceTempView("lineage_children_edges")
-      ctx.spark.sql(Walk, Map("root" -> rootId, "maxDepth" -> maxDepth))
+      val walk = ctx.catalog.lineageClosure.where(col("root") === rootId).drop("root")
+      base(ctx).join(walk, "artifact_id")
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.SparkConf
+import org.apache.spark.storage.StorageLevel
 import org.apache.spark.sql.execution.{SortExec, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.{AQEShuffleReadExec, AdaptiveSparkPlanHelper, ShuffleQueryStageExec}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
@@ -43,8 +44,18 @@ class JobSessionSpec extends SparkSpec {
     // both inputs already arrive partitioned on the key, so it shuffles nothing.
     val mergeInputs = Plans.collectWithSubqueries(plan) { case j: SortMergeJoinExec => j.children }
     assert(!mergeInputs.flatten.exists(shuffled), plan)
-    val partitions = Plans.collectWithSubqueries(plan) { case e: ShuffleExchangeLike => e.numPartitions }
-    assert(partitions.nonEmpty, plan)
-    assert(partitions.forall(_ == 1), partitions)
+    // The catalog is cached as one partition each, so nothing is left to shuffle.
+    val shuffles = Plans.collectWithSubqueries(plan) { case e: ShuffleExchangeLike => e }
+    assert(shuffles.isEmpty, plan)
+  }
+
+  test("every relation the study context caches, the lineage closure included, is one partition") {
+    val cat = TestFixtures.ctx.catalog
+    val cached = cat.byName ++ Map(
+      "enrichedArtifacts" -> cat.enrichedArtifacts, "lineageClosure" -> cat.lineageClosure)
+    cached.foreach { case (name, df) =>
+      assert(df.storageLevel != StorageLevel.NONE, name)
+      assert(df.rdd.getNumPartitions == 1, name)
+    }
   }
 }

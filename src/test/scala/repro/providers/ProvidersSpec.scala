@@ -151,19 +151,33 @@ class ProvidersSpec extends SparkSpec {
   }
 
   test("oracle: lineage_children matches a recursive CTE") {
-    val sparkDf = LineageChildren.fetch(ctx, Map("artifact" -> "1"))
-      .select(col("artifact_id").cast("long").as("artifact_id"),
+    // A fetch is the closure's rows for one root, restricted to artifacts.
+    val tagged = cat.lineageClosure.join(cat.artifacts.select("artifact_id"), "artifact_id")
+      .select(col("root").cast("long").as("root"),
+        col("artifact_id").cast("long").as("artifact_id"),
+        col("parent_id").cast("long").as("parent_id"),
         col("depth").cast("int").as("depth"))
-    Oracle.assertEquivalent(sparkDf,
-      """WITH RECURSIVE walk(artifact_id, depth) AS (
-        |  SELECT CAST(1 AS BIGINT), 0
+    Oracle.assertEquivalent(tagged,
+      """WITH RECURSIVE walk(root, artifact_id, parent_id, depth) AS (
+        |  SELECT CAST(artifact_id AS BIGINT), CAST(artifact_id AS BIGINT),
+        |         CAST(NULL AS BIGINT), 0
+        |  FROM artifacts
         |  UNION ALL
-        |  SELECT CAST(l.child_id AS BIGINT), walk.depth + 1
+        |  SELECT walk.root, CAST(l.child_id AS BIGINT), CAST(l.parent_id AS BIGINT),
+        |         walk.depth + 1
         |  FROM lineage l JOIN walk ON CAST(l.parent_id AS BIGINT) = walk.artifact_id
         |  WHERE walk.depth < 8
         |)
-        |SELECT artifact_id AS artifact_id, CAST(depth AS INT) AS depth FROM walk""".stripMargin,
-      "lineage" -> cat.lineage)
+        |SELECT walk.root, walk.artifact_id, walk.parent_id, CAST(walk.depth AS INT) AS depth
+        |FROM walk JOIN artifacts a ON CAST(a.artifact_id AS BIGINT) = walk.artifact_id
+        |""".stripMargin,
+      "artifacts" -> cat.artifacts, "lineage" -> cat.lineage)
+    def rows(df: DataFrame): Set[(Long, Any, Int)] =
+      df.select("artifact_id", "parent_id", "depth").collect()
+        .map(r => (r.getLong(0), r.get(1), r.getInt(2))).toSet
+    for (root <- Seq(1L, 5L, 6L))
+      assert(rows(LineageChildren.fetch(ctx, Map("artifact" -> root.toString))) ==
+        rows(tagged.where(col("root") === root)), s"root $root")
   }
 
   // ---- behavioral specifics ------------------------------------------------

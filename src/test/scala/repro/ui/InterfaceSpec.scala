@@ -140,6 +140,25 @@ class InterfaceSpec extends SparkSpec {
     assert(roots == Seq(1L))
   }
 
+  test("an exploration click renders every tab's first page in at most 21 Spark jobs") {
+    // What a screen shows: each tab's first page of rows, and a categories
+    // view's whole rollup (the study's page size is 10).
+    def click(): Unit = Interface.exploration(spec, registry, ctx, 1L).foreach { t =>
+      val page = t.view match {
+        case v: TilesView          => v.data
+        case v: ListView           => v.data
+        case v: HierarchyView      => v.data
+        case v: GraphView          => v.edges
+        case v: CategoriesView     => v.rollup.collect(); v.members
+        case v: EmbeddingViewModel => v.points
+      }
+      page.limit(10).collect()
+    }
+    click() // the first click also builds the lineage closure
+    val jobs = SparkJobs.count(spark)(click())
+    assert(jobs <= 21, jobs)
+  }
+
   // ---- team home page (§4.3) -----------------------------------------------
 
   test("team home page renders the custom content's providers in order") {
