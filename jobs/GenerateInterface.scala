@@ -1,8 +1,7 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.providers.Registry
-import repro.spec.{HumboldtSpec, UseCaseSpec}
+import repro.spec.UseCaseSpec
 import repro.study.SimulatedStudy
 import repro.ui.Interface
 
@@ -18,13 +17,7 @@ import repro.ui.Interface
   */
 object GenerateInterface {
   def main(args: Array[String]): Unit = {
-    val spec = args.headOption match {
-      case Some(path) =>
-        HumboldtSpec.fromJsonString(
-          new String(java.nio.file.Files.readAllBytes(java.nio.file.Paths.get(path))))
-          .fold(e => sys.error(s"bad spec $path: $e"), identity)
-      case None => UseCaseSpec.default
-    }
+    val spec = args.headOption.fold(UseCaseSpec.default)(JobSession.specOrExit)
     val sf = args.lift(1).map(_.toDouble).getOrElse(0.01)
 
     val spark = JobSession("humboldt-interface")

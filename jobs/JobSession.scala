@@ -2,9 +2,12 @@ package repro.jobs
 
 import org.apache.spark.SparkConf
 import org.apache.spark.sql.SparkSession
+import repro.providers.{ProviderBinding, Registry}
+import repro.spec.HumboldtSpec
 
 /** The one SparkSession builder: job entrypoints, tests and benches all
-  * take their session from here, so they run under one profile.
+  * take their session from here, so they run under one profile. Job
+  * entrypoints also load a spec file through [[specOrExit]].
   *
   * Under spark-submit the master comes from the launcher (`--master` /
   * conf); when run directly (sbt runMain, IDE) we fall back to
@@ -42,4 +45,12 @@ object JobSession {
     s.sparkContext.setLogLevel("WARN")
     s
   }
+
+  /** The spec file at `path`, bound to the standard registry; one that does
+    * not load or bind prints `bad spec <path>: <error>` and exits 2. */
+  def specOrExit(path: String): HumboldtSpec =
+    HumboldtSpec.read(path).flatMap { spec =>
+      val errors = ProviderBinding.validate(spec, Registry.standard)
+      if (errors.isEmpty) Right(spec) else Left(errors.mkString("; "))
+    }.fold(e => { println(s"bad spec $path: $e"); sys.exit(2) }, identity)
 }

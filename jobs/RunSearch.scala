@@ -1,9 +1,8 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.providers.Registry
 import repro.search.QueryCompiler
-import repro.spec.{HumboldtSpec, UseCaseSpec}
+import repro.spec.UseCaseSpec
 import repro.study.SimulatedStudy
 
 /** spark-submit entrypoint: compile and run a Humboldt query.
@@ -20,13 +19,7 @@ object RunSearch {
   def main(args: Array[String]): Unit = {
     val query = args.headOption.getOrElse(UseCaseSpec.flagshipQuery)
     val sf    = args.lift(1).map(_.toDouble).getOrElse(0.01)
-    val spec  = args.lift(2) match {
-      case Some(path) =>
-        HumboldtSpec.fromJsonString(
-          new String(java.nio.file.Files.readAllBytes(java.nio.file.Paths.get(path))))
-          .fold(e => sys.error(s"bad spec $path: $e"), identity)
-      case None => UseCaseSpec.default
-    }
+    val spec  = args.lift(2).fold(UseCaseSpec.default)(JobSession.specOrExit)
 
     val spark = JobSession("humboldt-search")
     try {

@@ -120,8 +120,11 @@ object ProviderBinding {
     structural ++ binding
   }
 
+  /** Resolve a spec entry to its implementation, or say why it has none. */
+  def lookup(p: MetadataProviderSpec, registry: Registry): Either[String, Provider] =
+    registry.get(p.endpoint).toRight(s"unregistered endpoint '${p.endpoint}'")
+
   /** Resolve a spec entry to its implementation, or fail loudly. */
   def resolve(p: MetadataProviderSpec, registry: Registry): Provider =
-    registry.get(p.endpoint).getOrElse(
-      throw new IllegalArgumentException(s"unregistered endpoint '${p.endpoint}'"))
+    lookup(p, registry).fold(e => throw new IllegalArgumentException(e), identity)
 }

@@ -106,7 +106,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
       // ranking, since conventional search is always available (§6.4).
       val inputs = Map("q" -> words)
       searchable.find(_.endpoint == "text_match") match {
-        case Some(p) => Right(bound(p, inputs))
+        case Some(p) => bound(p, inputs)
         case None => registry.get("text_match").toRight("no text_match endpoint registered")
           .map(Bound(_, inputs, spec.globalRanking))
       }
@@ -117,18 +117,20 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
           .toRight(s"no search-visible provider with search key '$key'")
         in <- p.inputs.headOption
           .toRight(s"provider '${p.name}' takes no input but got value '$value'")
-      } yield bound(p, Map(in.name -> value))
+        b <- bound(p, Map(in.name -> value))
+      } yield b
 
     case Query.ProviderCall(name, args) =>
       for {
         p <- searchable.find(sp => QueryParser.normalize(sp.name) == name)
           .toRight(s"no search-visible provider named '$name'")
         inputs <- bindPositional(p, args)
-      } yield bound(p, inputs)
+        b <- bound(p, inputs)
+      } yield b
   }
 
-  private def bound(p: MetadataProviderSpec, inputs: Map[String, String]): Bound =
-    Bound(ProviderBinding.resolve(p, registry), inputs, spec.effectiveRanking(p))
+  private def bound(p: MetadataProviderSpec, inputs: Map[String, String]): Either[String, Bound] =
+    ProviderBinding.lookup(p, registry).map(Bound(_, inputs, spec.effectiveRanking(p)))
 
   private def bindPositional(p: MetadataProviderSpec, args: Seq[String]): Either[String, Map[String, String]] = {
     val inputs = p.inputs.map(_.name).zip(args).toMap

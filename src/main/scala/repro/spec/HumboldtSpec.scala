@@ -1,6 +1,8 @@
 package repro.spec
 
+import java.nio.file.{Files, Paths}
 import scala.collection.immutable.ListMap
+import scala.util.Try
 
 /** Data representations a metadata provider can return (paper §4.1, §6.2).
   *
@@ -258,4 +260,8 @@ object HumboldtSpec {
 
   def fromJsonString(s: String): Either[String, HumboldtSpec] =
     Json.parse(s).left.map(_.getMessage).flatMap(fromJson)
+
+  /** Read a UTF-8 spec file; a missing file or malformed spec is a `Left`. */
+  def read(path: String): Either[String, HumboldtSpec] =
+    Try(Files.readString(Paths.get(path))).toEither.left.map(_.toString).flatMap(fromJsonString)
 }

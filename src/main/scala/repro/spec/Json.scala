@@ -1,12 +1,15 @@
 package repro.spec
 
+import com.fasterxml.jackson.core.JsonProcessingException
+import com.fasterxml.jackson.core.util.{DefaultIndenter, DefaultPrettyPrinter, Separators}
+import com.fasterxml.jackson.databind.DeserializationFeature
+import org.json4s
+import org.json4s.jackson.JsonMethods
 import scala.collection.immutable.ListMap
 
-/** Minimal JSON abstract syntax tree.
+/** JSON tree for Humboldt specifications (Section 4 of the paper), read and
+  * written as text by json4s-jackson from the Spark classpath.
   *
-  * Humboldt specifications (Section 4 of the paper) are declarative JSON
-  * documents. The sealed container has no network egress, so instead of a
-  * resolved JSON library we ship a small, fully tested parser/printer pair.
   * Object key order is preserved (ListMap) so specs round-trip stably and
   * provider ordering — which the paper exposes to end users as a
   * customization axis — survives (de)serialization.
@@ -50,10 +53,10 @@ sealed trait Json {
   }
 
   /** Compact single-line rendering. */
-  def render: String = Json.render(this, pretty = false, 0)
+  def render: String = Json.compact.writeValueAsString(Json.toJValue(this))
 
   /** Indented multi-line rendering for specs written to disk. */
-  def pretty: String = Json.render(this, pretty = true, 0)
+  def pretty: String = Json.indented.writeValueAsString(Json.toJValue(this))
 }
 
 object Json {
@@ -76,179 +79,46 @@ object Json {
 
   /** Parse a complete JSON document; trailing non-whitespace is an error. */
   def parse(input: String): Either[ParseError, Json] =
-    try {
-      val p     = new Parser(input)
-      val value = p.parseValue()
-      p.skipWs()
-      if (!p.atEnd) Left(ParseError(s"trailing input '${p.peekContext}'", p.pos))
-      else Right(value)
-    } catch { case e: ParseError => Left(e) }
-
-  /** Parse, throwing on malformed input — for trusted in-repo specs. */
-  def parseUnsafe(input: String): Json =
-    parse(input).fold(e => throw e, identity)
-
-  private final class Parser(s: String) {
-    var pos = 0
-
-    def atEnd: Boolean       = pos >= s.length
-    def peekContext: String  = s.slice(pos, math.min(pos + 12, s.length))
-    private def cur: Char    = s.charAt(pos)
-    private def fail(msg: String): Nothing = throw ParseError(msg, pos)
-
-    def skipWs(): Unit =
-      while (!atEnd && (cur == ' ' || cur == '\t' || cur == '\n' || cur == '\r')) pos += 1
-
-    def parseValue(): Json = {
-      skipWs()
-      if (atEnd) fail("unexpected end of input")
-      cur match {
-        case '{'                          => parseObject()
-        case '['                          => parseArray()
-        case '"'                          => JString(parseString())
-        case 't'                          => expect("true"); JBool(true)
-        case 'f'                          => expect("false"); JBool(false)
-        case 'n'                          => expect("null"); JNull
-        case c if c == '-' || c.isDigit   => parseNumber()
-        case c                            => fail(s"unexpected character '$c'")
-      }
+    try Right(fromJValue(reader.readValue[json4s.JValue](input)))
+    catch {
+      case e: JsonProcessingException =>
+        Left(ParseError(e.getOriginalMessage, Option(e.getLocation).fold(0)(_.getCharOffset.toInt)))
     }
 
-    private def expect(lit: String): Unit =
-      if (s.regionMatches(pos, lit, 0, lit.length)) pos += lit.length
-      else fail(s"expected '$lit'")
-
-    private def parseObject(): JObject = {
-      pos += 1 // '{'
-      skipWs()
-      var fields = ListMap.empty[String, Json]
-      if (!atEnd && cur == '}') { pos += 1; return JObject(fields) }
-      var done = false
-      while (!done) {
-        skipWs()
-        if (atEnd || cur != '"') fail("expected object key string")
-        val key = parseString()
-        skipWs()
-        if (atEnd || cur != ':') fail("expected ':' after object key")
-        pos += 1
-        val value = parseValue()
-        fields = fields.updated(key, value)
-        skipWs()
-        if (atEnd) fail("unterminated object")
-        cur match {
-          case ',' => pos += 1
-          case '}' => pos += 1; done = true
-          case c   => fail(s"expected ',' or '}' in object, got '$c'")
-        }
-      }
-      JObject(fields)
-    }
-
-    private def parseArray(): JArray = {
-      pos += 1 // '['
-      skipWs()
-      val values = Vector.newBuilder[Json]
-      if (!atEnd && cur == ']') { pos += 1; return JArray(values.result()) }
-      var done = false
-      while (!done) {
-        values += parseValue()
-        skipWs()
-        if (atEnd) fail("unterminated array")
-        cur match {
-          case ',' => pos += 1
-          case ']' => pos += 1; done = true
-          case c   => fail(s"expected ',' or ']' in array, got '$c'")
-        }
-      }
-      JArray(values.result())
-    }
-
-    private def parseString(): String = {
-      pos += 1 // opening quote
-      val sb = new StringBuilder
-      while (true) {
-        if (atEnd) fail("unterminated string")
-        cur match {
-          case '"' => pos += 1; return sb.toString
-          case '\\' =>
-            pos += 1
-            if (atEnd) fail("unterminated escape")
-            cur match {
-              case '"'  => sb += '"';  pos += 1
-              case '\\' => sb += '\\'; pos += 1
-              case '/'  => sb += '/';  pos += 1
-              case 'b'  => sb += '\b'; pos += 1
-              case 'f'  => sb += '\f'; pos += 1
-              case 'n'  => sb += '\n'; pos += 1
-              case 'r'  => sb += '\r'; pos += 1
-              case 't'  => sb += '\t'; pos += 1
-              case 'u'  =>
-                pos += 1
-                if (pos + 4 > s.length) fail("truncated unicode escape")
-                val hex = s.substring(pos, pos + 4)
-                try sb += Integer.parseInt(hex, 16).toChar
-                catch { case _: NumberFormatException => fail(s"bad unicode escape '\\u$hex'") }
-                pos += 4
-              case c => fail(s"bad escape '\\$c'")
-            }
-          case c => sb += c; pos += 1
-        }
-      }
-      sb.toString // unreachable
-    }
-
-    private def parseNumber(): JNumber = {
-      val start = pos
-      if (!atEnd && cur == '-') pos += 1
-      while (!atEnd && cur.isDigit) pos += 1
-      if (!atEnd && cur == '.') { pos += 1; while (!atEnd && cur.isDigit) pos += 1 }
-      if (!atEnd && (cur == 'e' || cur == 'E')) {
-        pos += 1
-        if (!atEnd && (cur == '+' || cur == '-')) pos += 1
-        while (!atEnd && cur.isDigit) pos += 1
-      }
-      val text = s.substring(start, pos)
-      try JNumber(text.toDouble)
-      catch { case _: NumberFormatException => fail(s"bad number '$text'") }
-    }
+  // Readers and writers derived from the mapper Spark shares; it is never mutated.
+  private val reader = JsonMethods.mapper
+    .reader(DeserializationFeature.FAIL_ON_TRAILING_TOKENS).forType(classOf[json4s.JValue])
+  private val compact = JsonMethods.mapper.writer()
+  /** Two-space indent, one value per line, `"key": value`, and `[]`/`{}`
+    * when empty: the layout spec files and T5's spec-line count use. */
+  private val indented = {
+    val lines = new DefaultIndenter("  ", "\n")
+    JsonMethods.mapper.writer(new DefaultPrettyPrinter(Separators.createDefaultInstance()
+        .withObjectFieldValueSpacing(Separators.Spacing.AFTER)
+        .withObjectEmptySeparator("").withArrayEmptySeparator(""))
+      .withObjectIndenter(lines).withArrayIndenter(lines))
   }
 
-  private def escape(s: String): String = {
-    val sb = new StringBuilder
-    s.foreach {
-      case '"'            => sb ++= "\\\""
-      case '\\'           => sb ++= "\\\\"
-      case '\b'           => sb ++= "\\b"
-      case '\f'           => sb ++= "\\f"
-      case '\n'           => sb ++= "\\n"
-      case '\r'           => sb ++= "\\r"
-      case '\t'           => sb ++= "\\t"
-      case c if c < ' '   => sb ++= f"\\u${c.toInt}%04x"
-      case c              => sb += c
-    }
-    sb.toString
+  private def fromJValue(v: json4s.JValue): Json = v match {
+    case json4s.JString(s)  => JString(s)
+    case json4s.JBool(b)    => JBool(b)
+    case json4s.JInt(n)     => JNumber(n.toDouble)
+    case json4s.JLong(n)    => JNumber(n.toDouble)
+    case json4s.JDouble(n)  => JNumber(n)
+    case json4s.JDecimal(n) => JNumber(n.toDouble)
+    case json4s.JArray(xs)  => JArray(xs.map(fromJValue).toVector)
+    // A repeated key keeps its first position and its last value.
+    case json4s.JObject(fs) =>
+      JObject(fs.foldLeft(ListMap.empty[String, Json]) { case (m, (k, x)) => m.updated(k, fromJValue(x)) })
+    case _ => JNull // JNull; the reader yields no JNothing or JSet
   }
 
-  private def renderNum(n: Double): String =
-    if (n.isWhole && math.abs(n) < 1e15) n.toLong.toString else n.toString
-
-  private def render(j: Json, pretty: Boolean, depth: Int): String = {
-    val pad  = if (pretty) "  " * (depth + 1) else ""
-    val pad0 = if (pretty) "  " * depth else ""
-    val nl   = if (pretty) "\n" else ""
-    val sp   = if (pretty) " " else ""
-    j match {
-      case JNull        => "null"
-      case JBool(b)     => b.toString
-      case JNumber(n)   => renderNum(n)
-      case JString(s)   => "\"" + escape(s) + "\""
-      case JArray(xs) if xs.isEmpty => "[]"
-      case JArray(xs) =>
-        xs.map(x => pad + render(x, pretty, depth + 1)).mkString(s"[$nl", s",$nl", s"$nl$pad0]")
-      case JObject(fs) if fs.isEmpty => "{}"
-      case JObject(fs) =>
-        fs.map { case (k, v) => s"""$pad"${escape(k)}":$sp${render(v, pretty, depth + 1)}""" }
-          .mkString(s"{$nl", s",$nl", s"$nl$pad0}")
-    }
+  private def toJValue(j: Json): json4s.JValue = j match {
+    case JNull       => json4s.JNull
+    case JBool(b)    => json4s.JBool(b)
+    case JNumber(n)  => if (n.isWhole && math.abs(n) < 1e15) json4s.JLong(n.toLong) else json4s.JDouble(n)
+    case JString(s)  => json4s.JString(s)
+    case JArray(xs)  => json4s.JArray(xs.map(toJValue).toList)
+    case JObject(fs) => json4s.JObject(fs.map { case (k, v) => k -> toJValue(v) }.toList)
   }
 }

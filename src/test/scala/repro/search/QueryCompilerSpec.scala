@@ -199,6 +199,17 @@ class QueryCompilerSpec extends SparkSpec {
     }
   }
 
+  test("a search-visible provider on an unregistered endpoint is a Left") {
+    val ghost = MetadataProviderSpec(
+      name = "Ghost", category = "misc", description = "Names no registered endpoint",
+      representation = Representation.ListRep, endpoint = "nope",
+      inputs = Seq(InputSpec("q", "text", required = true)),
+      visibility = Seq(Surface.Search), searchKey = Some("ghost"))
+    val c = new QueryCompiler(UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers :+ ghost),
+      Registry.standard, ctx)
+    assert(c.search("ghost: x") == Left("unregistered endpoint 'nope'"))
+  }
+
   // ---- scoring rules -------------------------------------------------------
 
   private def scores(c: QueryCompiler, input: String): Map[Long, Double] =

@@ -140,6 +140,21 @@ class HumboldtSpecSpec extends AnyFunSuite {
       "representation" -> Json.str("pie"), "endpoint" -> Json.str("e"))))
     assert(HumboldtSpec.fromJson(j).isLeft)
   }
+  test("fromJsonString reports where malformed JSON fails") {
+    val err = HumboldtSpec.fromJsonString("""{"providers": [1,}""").swap.getOrElse(fail())
+    assert(err.endsWith("at offset 17"), err)
+  }
+  test("read rejects a missing file") {
+    assert(HumboldtSpec.read("no/such/spec.json").isLeft)
+  }
+  test("read takes a spec file as UTF-8") {
+    val spec = HumboldtSpec(Seq(provider(name = "Übersicht")))
+    val file = java.nio.file.Files.createTempFile("spec", ".json")
+    try {
+      java.nio.file.Files.write(file, HumboldtSpec.toJson(spec).pretty.getBytes("UTF-8"))
+      assert(HumboldtSpec.read(file.toString) == Right(spec))
+    } finally java.nio.file.Files.delete(file)
+  }
   test("fromJson defaults visibility to all surfaces") {
     val j = Json.obj("providers" -> Json.arr(Json.obj(
       "name" -> Json.str("A"), "category" -> Json.str("c"),

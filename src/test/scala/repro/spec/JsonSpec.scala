@@ -99,6 +99,23 @@ class JsonSpec extends AnyFunSuite {
     assert(JNull.obj.isEmpty)
   }
 
+  test("parse and render leave the shared json4s mapper untouched") {
+    val mapper = org.json4s.jackson.JsonMethods.mapper
+    val feature = com.fasterxml.jackson.databind.DeserializationFeature.FAIL_ON_TRAILING_TOKENS
+    assert(Json.parse("1 x").isLeft)
+    assert(parsed("[1]").render == "[1]")
+    assert(!mapper.isEnabled(feature))
+  }
+  test("a repeated key keeps its first position and its last value") {
+    val j = parsed("""{"a": 1, "b": 2, "a": 3}""")
+    assert(j == JObject(ListMap("a" -> JNumber(3), "b" -> JNumber(2))))
+    assert(j.render == """{"a":3,"b":2}""")
+  }
+  test("pretty puts each array element on its own line") {
+    val j = Json.obj("xs" -> Json.arr(Json.num(1), Json.str("x")), "e" -> Json.arr(), "o" -> Json.obj())
+    assert(j.pretty == "{\n  \"xs\": [\n    1,\n    \"x\"\n  ],\n  \"e\": [],\n  \"o\": {}\n}")
+  }
+
   // ---- property tests ----------------------------------------------------
 
   private val genLeaf: Gen[Json] = Gen.oneOf(
