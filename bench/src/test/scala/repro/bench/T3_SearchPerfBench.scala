@@ -19,6 +19,12 @@ import repro.spec.{Surface, UseCaseSpec}
   * are interactive and comparable (Spark per-stage overhead dominates),
   * so the compiled path's value is architectural: one plan, exact set
   * semantics, scope pushdown, no per-element driver round-trips.
+  *
+  * The two columns time unequal work. "Compiled" times `QueryCompiler.run`:
+  * a relation of full enriched rows, scored and ordered by score, from
+  * which the ids are then collected. "App-layer" collects unordered id
+  * sets and never scores or sorts. Where the compiled column is the slower
+  * one (the small classes), it is doing more, not the same work slower.
   */
 class T3_SearchPerfBench extends AnyFunSuite {
   import BenchFixtures._

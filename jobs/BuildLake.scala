@@ -15,9 +15,10 @@ import repro.catalog.{CatalogSynth, LakeSynth}
   */
 object BuildLake {
   def main(args: Array[String]): Unit = {
-    val out  = args.headOption.getOrElse(sys.error("usage: BuildLake <outDir> [sf] [seed]"))
-    val sf   = args.lift(1).map(_.toDouble).getOrElse(0.1)
-    val seed = args.lift(2).map(_.toLong).getOrElse(42L)
+    val usage = "usage: BuildLake <outDir> [sf] [seed]"
+    val out   = args.headOption.getOrElse(JobSession.usageExit("missing <outDir>", usage))
+    val sf    = JobSession.argOrExit(args, 1, 0.1, usage)(_.toDouble)
+    val seed  = JobSession.argOrExit(args, 2, 42L, usage)(_.toLong)
 
     val spark = JobSession("humboldt-build-lake")
     try {

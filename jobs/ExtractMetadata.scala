@@ -17,10 +17,10 @@ import repro.extract.{ColumnSketches, Embedding, Joinability}
   */
 object ExtractMetadata {
   def main(args: Array[String]): Unit = {
-    val dir = args.headOption.getOrElse(
-      sys.error("usage: ExtractMetadata <dir> [minhashK] [threshold]"))
-    val k         = args.lift(1).map(_.toInt).getOrElse(64)
-    val threshold = args.lift(2).map(_.toDouble).getOrElse(0.5)
+    val usage     = "usage: ExtractMetadata <dir> [minhashK] [threshold]"
+    val dir       = args.headOption.getOrElse(JobSession.usageExit("missing <dir>", usage))
+    val k         = JobSession.argOrExit(args, 1, 64, usage)(_.toInt)
+    val threshold = JobSession.argOrExit(args, 2, 0.5, usage)(_.toDouble)
 
     val spark = JobSession("humboldt-extract")
     try {

@@ -18,7 +18,7 @@ import repro.ui.Interface
 object GenerateInterface {
   def main(args: Array[String]): Unit = {
     val spec = args.headOption.fold(UseCaseSpec.default)(JobSession.specOrExit)
-    val sf = args.lift(1).map(_.toDouble).getOrElse(0.01)
+    val sf = JobSession.argOrExit(args, 1, 0.01, "usage: GenerateInterface [specFile] [sf]")(_.toDouble)
 
     val spark = JobSession("humboldt-interface")
     try {

@@ -53,4 +53,11 @@ object JobSession {
       val errors = ProviderBinding.validate(spec, Registry.standard)
       if (errors.isEmpty) Right(spec) else Left(errors.mkString("; "))
     }.fold(e => { println(s"bad spec $path: $e"); sys.exit(2) }, identity)
+
+  /** Argument `i` read by `read`, `default` when absent, or [[usageExit]] when it does not read. */
+  def argOrExit[A](args: Array[String], i: Int, default: A, usage: String)(read: String => A): A =
+    args.lift(i).fold(default)(a => scala.util.Try(read(a)).getOrElse(usageExit(s"bad argument '$a'", usage)))
+
+  /** Prints `problem` and `usage` and exits 2, as a job does for arguments it cannot read. */
+  def usageExit(problem: String, usage: String): Nothing = { println(s"$problem; $usage"); sys.exit(2) }
 }

@@ -18,7 +18,7 @@ import repro.study.SimulatedStudy
 object RunSearch {
   def main(args: Array[String]): Unit = {
     val query = args.headOption.getOrElse(UseCaseSpec.flagshipQuery)
-    val sf    = args.lift(1).map(_.toDouble).getOrElse(0.01)
+    val sf    = JobSession.argOrExit(args, 1, 0.01, "usage: RunSearch [query] [sf] [specFile]")(_.toDouble)
     val spec  = args.lift(2).fold(UseCaseSpec.default)(JobSession.specOrExit)
 
     val spark = JobSession("humboldt-search")

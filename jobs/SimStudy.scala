@@ -12,9 +12,10 @@ import repro.study.{Likert, SimulatedStudy}
   */
 object SimStudy {
   def main(args: Array[String]): Unit = {
-    val sf      = args.lift(0).map(_.toDouble).getOrElse(0.01)
-    val seed    = args.lift(1).map(_.toLong).getOrElse(42L)
-    val nAgents = args.lift(2).map(_.toInt).getOrElse(6)
+    val usage   = "usage: SimStudy [sf] [seed] [nAgents]"
+    val sf      = JobSession.argOrExit(args, 0, 0.01, usage)(_.toDouble)
+    val seed    = JobSession.argOrExit(args, 1, 42L, usage)(_.toLong)
+    val nAgents = JobSession.argOrExit(args, 2, 6, usage)(_.toInt)
 
     val spark = JobSession("humboldt-study")
     try {

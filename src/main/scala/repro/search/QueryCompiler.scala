@@ -2,7 +2,7 @@ package repro.search
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.providers.{Contracts, Provider, ProviderBinding, ProviderContext, Registry}
+import repro.providers.{Contracts, MissingInputException, Provider, ProviderBinding, ProviderContext, Registry}
 import repro.ranking.Ranking
 import repro.spec.{HumboldtSpec, MetadataProviderSpec, RankingWeight, Representation, Surface}
 
@@ -32,7 +32,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
     parser.parse(input).flatMap(plan(_, scope))
 
   /** Execute a parsed query, as [[search]] does; a query element that does
-    * not bind throws `IllegalArgumentException`.
+    * not bind or fetch throws `IllegalArgumentException`.
     */
   def run(q: Query, scope: Option[DataFrame] = None): DataFrame =
     plan(q, scope).fold(e => throw new IllegalArgumentException(e), identity)
@@ -44,19 +44,19 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
     case Query.Not(inner) => elements(inner)
   }
 
-  /** Binds every element before any DataFrame is built, so a query that
-    * does not bind is a `Left`.
+  /** Binds and fetches every element before any is joined, so a query
+    * that does not bind, or whose provider rejects its inputs, is a `Left`.
     */
   private def plan(q: Query, scope: Option[DataFrame]): Either[String, DataFrame] = {
     val elems = elements(q).distinct
-    val bound = elems.map(bind)
-    bound.collectFirst { case Left(e) => e }.toLeft {
+    val fetched = elems.map(e => bind(e).flatMap(fetch))
+    fetched.collectFirst { case Left(e) => e }.toLeft {
       val enriched = ctx.enrichedArtifacts
       val universe = scope.fold(enriched)(s =>
         enriched.join(s.select(col("artifact_id").cast("long")), Seq("artifact_id"), "left_semi"))
-      val (joined, terms) = bound.collect { case Right(b) => b }.zipWithIndex
-        .foldLeft((universe, Vector.empty[(Column, Column)])) { case ((df, acc), (b, i)) =>
-          val (next, term) = joinElement(df, b, i)
+      val (joined, terms) = fetched.collect { case Right(f) => f }.zipWithIndex
+        .foldLeft((universe, Vector.empty[(Column, Column)])) { case ((df, acc), ((b, out), i)) =>
+          val (next, term) = joinElement(df, b, out, i)
           (next, acc :+ term)
         }
       val byElement = elems.zip(terms).toMap
@@ -79,14 +79,21 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
     }
   }
 
+  /** A bound element with its provider's rows, or a `Left` when the
+    * provider rejects its inputs or lacks extracted edges or coordinates. */
+  private def fetch(b: Bound): Either[String, (Bound, DataFrame)] =
+    try Right(b -> b.impl.fetch(ctx, b.inputs)) catch {
+      case e @ (_: MissingInputException | _: IllegalStateException | _: IllegalArgumentException) =>
+        Left(s"provider endpoint '${b.impl.endpoint}' failed on ${b.inputs.mkString(", ")}: ${e.getMessage}")
+    }
+
   /** Left-joins element `i` onto `df` as `(q{i}_aid, q{i}_score)`: the
     * provider's rows (a graph's `src` and `dst` ids), scored and
     * deduplicated on the id. Returns the element's membership and score
     * over the joined relation. A weight reads the element's own row where
     * that row carries the field, else the enriched row, else adds 0.
     */
-  private def joinElement(df: DataFrame, b: Bound, i: Int): (DataFrame, (Column, Column)) = {
-    val out = b.impl.fetch(ctx, b.inputs)
+  private def joinElement(df: DataFrame, b: Bound, out: DataFrame, i: Int): (DataFrame, (Column, Column)) = {
     val rows = if (b.impl.representation == Representation.Graph)
       Contracts.artifactIds(Representation.Graph, out) else out
     val (aid, own) = (s"q${i}_aid", s"q${i}_score")

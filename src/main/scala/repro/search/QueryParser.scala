@@ -1,239 +1,45 @@
 package repro.search
 
+import java.util.regex.Pattern
+import scala.util.parsing.combinator.RegexParsers
 import repro.spec.{HumboldtSpec, Surface}
 
 /** Parser for the Humboldt query language.
   *
-  * The grammar is not fixed: the set of admissible field keys is compiled
-  * from the specification ("query parameters are compiled from the
-  * specification", paper abstract), so adding a provider with a `searchKey`
-  * immediately extends the language. Keys may be multi-word (`owned by`)
-  * and are matched greedily, longest first.
+  * The grammar is not fixed: the field keys are compiled from the
+  * specification ("query parameters are compiled from the specification",
+  * paper abstract), so adding a provider with a `searchKey` immediately
+  * extends the language.
   *
   * {{{
-  * query    := or
-  * or       := and (('|' | 'or') and)*
-  * and      := unary (('&' | 'and')? unary)*      -- juxtaposition conjoins
-  * unary    := ('!' | '-') unary | '(' query ')' | element
-  * element  := KEY ':' value                      -- pill syntax
-  *           | ':' IDENT '(' args ')'             -- prefix syntax
-  *           | QUOTED | WORD                      -- free text
+  * or      := and (('|' | 'or') and)*
+  * and     := unary (('&' | 'and')? unary)*     -- juxtaposition conjoins
+  * unary   := ('!' | 'not') unary | '(' or ')' | element
+  * element := KEY (QUOTED | WORD)                -- pill syntax
+  *          | ':' NAME ('(' args ')')?           -- prefix syntax
+  *          | QUOTED | WORD                      -- free text
+  * args    := (',' | QUOTED | ARG)*
   * }}}
+  *
+  * A KEY is a spec key and a ':', in any case, with any whitespace between
+  * its words and before the ':', but never inside a longer word
+  * (`typeface:`); the longest key wins. WORD and NAME are runs of characters
+  * other than whitespace and `()&|!:'"`, so `-a` is a word, not a negation.
+  * A WORD is not a KEY, nor `and`, `or` or `not` in any case (`android` is a
+  * word). QUOTED is `'...'` or `"..."`, kept verbatim. NAME follows the ':'
+  * directly and names a search-visible provider. An ARG runs up to the next
+  * `,` or `)` and is trimmed.
   */
 final class QueryParser(searchKeys: Seq[String], providerNames: Seq[String]) {
-  // Longest key first so `badged by:` wins over `badged:`.
-  private val keysByLength = searchKeys.map(_.trim).filter(_.nonEmpty)
-    .sortBy(k => -k.length)
-  private val normalizedProviders = providerNames.map(QueryParser.normalize).toSet
-
-  def parse(input: String): Either[String, Query] =
-    for {
-      tokens <- lex(input)
-      _      <- if (tokens.isEmpty) Left("empty query") else Right(())
-      result <- {
-        val p = new Tokens(tokens)
-        parseOr(p).flatMap { q =>
-          if (p.atEnd) Right(q) else Left(s"unexpected trailing token ${p.peek}")
-        }
-      }
-    } yield result
-
-  // ---- lexer -------------------------------------------------------------
-
-  private sealed trait Tok
-  private case object LP extends Tok
-  private case object RP extends Tok
-  private case object Amp extends Tok
-  private case object Pipe extends Tok
-  private case object Bang extends Tok
-  private final case class Key(key: String) extends Tok          // includes the ':'
-  private final case class Call(name: String, args: Seq[String]) extends Tok
-  private final case class Word(text: String) extends Tok
-  private final case class Quoted(text: String) extends Tok
-
-  private def lex(s: String): Either[String, Vector[Tok]] = {
-    val out = Vector.newBuilder[Tok]
-    var i = 0
-    def ws(): Unit = while (i < s.length && s.charAt(i).isWhitespace) i += 1
-
-    def quoted(): Either[String, String] = {
-      val q = s.charAt(i); i += 1
-      val sb = new StringBuilder
-      while (i < s.length && s.charAt(i) != q) { sb += s.charAt(i); i += 1 }
-      if (i >= s.length) Left(s"unterminated quote starting near offset $i")
-      else { i += 1; Right(sb.toString) }
-    }
-
-    /** If a known search key followed by ':' starts at `i`, return the
-      * offset just past the ':' — case-insensitive, flexible internal
-      * whitespace, and no partial-word matches (`type` vs `typeface:`).
-      */
-    def matchKey(key: String): Option[Int] = {
-      val words = key.split("\\s+")
-      var j = i
-      var w = 0
-      while (w < words.length) {
-        val word = words(w)
-        while (j < s.length && s.charAt(j).isWhitespace) j += 1
-        if (j + word.length <= s.length && s.regionMatches(true, j, word, 0, word.length)) {
-          j += word.length
-          if (j < s.length && (s.charAt(j).isLetterOrDigit || s.charAt(j) == '_')) return None
-        } else return None
-        w += 1
-      }
-      while (j < s.length && s.charAt(j).isWhitespace) j += 1
-      if (j < s.length && s.charAt(j) == ':') Some(j + 1) else None
-    }
-
-    def tryKey(): Option[String] = {
-      val it = keysByLength.iterator
-      while (it.hasNext) {
-        val key = it.next()
-        matchKey(key) match {
-          case Some(end) => i = end; return Some(key)
-          case None      => ()
-        }
-      }
-      None
-    }
-
-    def bareword(): String = {
-      val sb = new StringBuilder
-      while (i < s.length && !s.charAt(i).isWhitespace &&
-             !"()&|!:'\"".contains(s.charAt(i))) { sb += s.charAt(i); i += 1 }
-      sb.toString
-    }
-
-    while ({ ws(); i < s.length }) {
-      val c = s.charAt(i)
-      c match {
-        case '(' => out += LP; i += 1
-        case ')' => out += RP; i += 1
-        case '&' => out += Amp; i += 1
-        case '|' => out += Pipe; i += 1
-        case '!' => out += Bang; i += 1
-        case '\'' | '"' =>
-          quoted() match {
-            case Left(e)  => return Left(e)
-            case Right(t) => out += Quoted(t)
-          }
-        case ':' =>
-          // Prefix provider call `:name(arg, arg)`.
-          i += 1
-          val name = bareword()
-          if (name.isEmpty) return Left(s"expected provider name after ':' at offset $i")
-          ws()
-          if (i < s.length && s.charAt(i) == '(') {
-            i += 1
-            val args = Seq.newBuilder[String]
-            var done = false
-            while (!done) {
-              ws()
-              if (i >= s.length) return Left("unterminated provider call arguments")
-              s.charAt(i) match {
-                case ')' => i += 1; done = true
-                case ',' => i += 1
-                case '\'' | '"' =>
-                  quoted() match {
-                    case Left(e)  => return Left(e)
-                    case Right(t) => args += t
-                  }
-                case _ =>
-                  val sb = new StringBuilder
-                  while (i < s.length && !",)".contains(s.charAt(i))) { sb += s.charAt(i); i += 1 }
-                  val a = sb.toString.trim
-                  if (a.nonEmpty) args += a
-              }
-            }
-            out += Call(name, args.result())
-          } else out += Call(name, Seq.empty)
-        case _ =>
-          tryKey() match {
-            case Some(k) => out += Key(k)
-            case None =>
-              val w = bareword()
-              if (w.isEmpty) return Left(s"unexpected character '$c' at offset $i")
-              w.toLowerCase match {
-                case "and" => out += Amp
-                case "or"  => out += Pipe
-                case "not" => out += Bang
-                case _     => out += Word(w)
-              }
-          }
-      }
-    }
-    Right(out.result())
-  }
-
-  // ---- parser ------------------------------------------------------------
-
-  private final class Tokens(ts: Vector[Tok]) {
-    private var pos = 0
-    def atEnd: Boolean = pos >= ts.length
-    def peek: Tok = ts(pos)
-    def advance(): Tok = { val t = ts(pos); pos += 1; t }
-    def accept(t: Tok): Boolean = if (!atEnd && ts(pos) == t) { pos += 1; true } else false
-  }
-
-  private def parseOr(p: Tokens): Either[String, Query] =
-    parseAnd(p).flatMap { left =>
-      var acc: Either[String, Query] = Right(left)
-      while (acc.isRight && p.accept(Pipe))
-        acc = for (l <- acc; r <- parseAnd(p)) yield Query.Or(l, r)
-      acc
-    }
-
-  private def parseAnd(p: Tokens): Either[String, Query] =
-    parseUnary(p).flatMap { left =>
-      var acc: Either[String, Query] = Right(left)
-      var continue = true
-      while (acc.isRight && continue) {
-        if (p.accept(Amp)) acc = for (l <- acc; r <- parseUnary(p)) yield Query.And(l, r)
-        else if (!p.atEnd && p.peek != Pipe && p.peek != RP)
-          acc = for (l <- acc; r <- parseUnary(p)) yield Query.And(l, r) // juxtaposition
-        else continue = false
-      }
-      acc
-    }
-
-  private def parseUnary(p: Tokens): Either[String, Query] = {
-    if (p.atEnd) return Left("unexpected end of query")
-    p.peek match {
-      case Bang => p.advance(); parseUnary(p).map(Query.Not)
-      case LP =>
-        p.advance()
-        parseOr(p).flatMap { q =>
-          if (p.accept(RP)) Right(q) else Left("expected ')'")
-        }
-      case _ => parseElement(p)
-    }
-  }
-
-  private def parseElement(p: Tokens): Either[String, Query] =
-    p.advance() match {
-      case Key(k) =>
-        if (p.atEnd) Left(s"field '$k:' needs a value")
-        else p.advance() match {
-          case Word(v)   => Right(Query.FieldPred(k, v))
-          case Quoted(v) => Right(Query.FieldPred(k, v))
-          case t         => Left(s"field '$k:' needs a value, got $t")
-        }
-      case Call(n, args) =>
-        val norm = QueryParser.normalize(n)
-        if (normalizedProviders.contains(norm)) Right(Query.ProviderCall(norm, args))
-        else Left(s"unknown provider ':$n' — known: ${providerNames.sorted.mkString(", ")}")
-      case Word(w)   => Right(Query.Text(w))
-      case Quoted(t) => Right(Query.Text(t))
-      case t         => Left(s"unexpected token $t")
-    }
+  private val grammar = new QueryParser.Grammar(searchKeys, providerNames)
+  def parse(input: String): Either[String, Query] = grammar.query(input)
 }
 
 object QueryParser {
   /** Provider names normalize to lowercase snake case for prefix calls
     * (`Recent Documents` is callable as `:recent_documents(...)`).
     */
-  def normalize(name: String): String =
-    name.trim.toLowerCase.replaceAll("[\\s-]+", "_")
+  def normalize(name: String): String = name.trim.toLowerCase.replaceAll("[\\s-]+", "_")
 
   /** Build the parser the specification implies: field keys are the
     * search-visible providers' `searchKey`s, callable names are all
@@ -241,9 +47,47 @@ object QueryParser {
     */
   def fromSpec(spec: HumboldtSpec): QueryParser = {
     val searchable = spec.providersOn(Surface.Search)
-    new QueryParser(
-      searchKeys = searchable.flatMap(_.searchKey),
-      providerNames = searchable.map(p => normalize(p.name)),
-    )
+    new QueryParser(searchable.flatMap(_.searchKey), searchable.map(p => normalize(p.name)))
+  }
+
+  /** One production per line of the grammar above. */
+  private final class Grammar(searchKeys: Seq[String], providerNames: Seq[String]) extends RegexParsers {
+    // Whitespace as `Char.isWhitespace` defines it, here and in the word classes.
+    override protected val whiteSpace = """\p{javaWhitespace}+""".r
+
+    def query(input: String): Either[String, Query] = parseAll(or, input) match {
+      case Success(q, _) => Right(q)
+      case Error(msg, next) => Left(s"$msg at offset ${next.offset}")
+      case Failure(_, next) =>
+        Left(s"unexpected ${if (next.atEnd) "end of query" else s"'${next.first}'"} at offset ${next.offset}")
+    }
+
+    private val key = searchKeys.map(_.trim).filter(_.nonEmpty).sortBy(k => -k.length).map { k =>
+      val words = k.split("\\s+").map(Pattern.quote(_) + """(?![\p{javaLetterOrDigit}_])""")
+      ("(?iu)" + words.mkString("""\p{javaWhitespace}+""") + """\p{javaWhitespace}*:""").r ^^^ k
+    }.foldLeft[Parser[String]](failure("no search keys"))(_ | _)
+
+    private val quoted = "'[^']*'|\"[^\"]*\"".r ^^ (q => q.substring(1, q.length - 1))
+    private val bare = not(key) ~> """[^\p{javaWhitespace}()&|!:'"]+""".r
+    private val word = bare.filter(w => !Seq("and", "or", "not").exists(w.equalsIgnoreCase))
+    private def op(symbol: String, name: String) = symbol | bare.filter(_.equalsIgnoreCase(name))
+
+    private val args = rep("," ^^^ None | quoted ^^ (Some(_)) |
+      """[^,)'"][^,)]*""".r ^^ (a => Some(a.trim).filter(_.nonEmpty))) <~ ")" ^^ (_.flatten)
+    private val call = """:[^\p{javaWhitespace}()&|!:'"]+""".r ~ opt("(" ~>! args) >> {
+      case name ~ passed =>
+        val n = normalize(name.tail)
+        if (providerNames.map(normalize).contains(n)) success(Query.ProviderCall(n, passed.getOrElse(Nil)))
+        else err(s"unknown provider '$name' — known: ${providerNames.sorted.mkString(", ")}")
+    }
+
+    private val value = (quoted | word).withFailureMessage("expected a value after the key")
+    private val element: Parser[Query] =
+      key ~! value ^^ { case k ~ v => Query.FieldPred(k, v) } | call | (quoted | word) ^^ Query.Text
+
+    private lazy val unary: Parser[Query] =
+      op("!", "not") ~> unary ^^ Query.Not | "(" ~> or <~ ")" | element
+    private lazy val and = chainl1(unary, opt(op("&", "and")) ^^^ Query.And)
+    private lazy val or: Parser[Query] = chainl1(and, op("|", "or") ^^^ Query.Or)
   }
 }

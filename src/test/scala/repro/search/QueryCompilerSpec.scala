@@ -210,6 +210,39 @@ class QueryCompilerSpec extends SparkSpec {
     assert(c.search("ghost: x") == Left("unregistered endpoint 'nope'"))
   }
 
+  // ---- provider fetch errors -------------------------------------------------
+
+  /** The default spec with provider `name` search-visible under `key`. */
+  private def searchableSpec(name: String, key: Option[String]): HumboldtSpec =
+    UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers.map {
+      case p if p.name == name => p.copy(visibility = p.visibility :+ Surface.Search, searchKey = key)
+      case p => p
+    })
+
+  test("a lineage value that is not an artifact id is a Left; run throws") {
+    val c = new QueryCompiler(searchableSpec("Lineage", Some("child of")), Registry.standard, ctx)
+    val got = c.search("child of: AIRLINES")
+    assert(got.swap.exists(e => e.contains("lineage_children") && e.contains("AIRLINES")), got)
+    intercept[IllegalArgumentException](c.run(Query.FieldPred("child of", "AIRLINES")))
+  }
+
+  test("a graph or embedding element without extracted edges or coordinates is a Left") {
+    val bare = ctx.copy(joinEdges = None, coordinates = None)
+    val joinable = new QueryCompiler(searchableSpec("Joinable", Some("joinable with")), Registry.standard, bare)
+    assert(joinable.search("joinable with: AIRLINES").swap.exists(_.contains("join edges")))
+    val usageMap = new QueryCompiler(searchableSpec("Usage Map", None), Registry.standard, bare)
+    assert(usageMap.search(":usage_map()").swap.exists(_.contains("coordinates")))
+  }
+
+  test("a spec input name the implementation does not read is a Left") {
+    val renamed = UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers.map {
+      case p if p.name == "Owned By" => p.copy(inputs = Seq(InputSpec("owner", "user", required = true)))
+      case p => p
+    })
+    val got = new QueryCompiler(renamed, Registry.standard, ctx).search("owned by: Alex")
+    assert(got.swap.exists(_.contains("requires input 'user'")), got)
+  }
+
   // ---- scoring rules -------------------------------------------------------
 
   private def scores(c: QueryCompiler, input: String): Map[Long, Double] =

@@ -121,6 +121,30 @@ class QueryParserSpec extends AnyFunSuite {
     assert(parser.parse("size: 10").isLeft)
   }
 
+  // ---- behaviours the grammar doc states -----------------------------------
+
+  test("dashes, operator-like words, quoted spaces, keys and bare calls") {
+    Seq(
+      "-a" -> Text("-a"),
+      "android" -> Text("android"),
+      "' sales '" -> Text(" sales "),
+      "typeface:recent_documents" -> And(Text("typeface"), ProviderCall("recent_documents", Seq.empty)),
+      ":recent_documents" -> ProviderCall("recent_documents", Seq.empty),
+      ":recent_documents sales" -> And(ProviderCall("recent_documents", Seq.empty), Text("sales")),
+    ).foreach { case (input, ast) => assert(parsed(input) == ast, input) }
+  }
+  test("a key needs a value that is not another key or an operator") {
+    Seq("type: owned by: x", "type: and").foreach(q => assert(parser.parse(q).isLeft, q))
+  }
+  test("typeface:x does not match the type key") {
+    val got = parser.parse("typeface:x")
+    assert(got.swap.exists(_.contains("':x'")), got)
+  }
+  test("an unknown provider call names the known providers") {
+    val got = parser.parse(":nope()")
+    assert(got.swap.exists(e => e.contains("recent_documents") && e.contains("owned_by")), got)
+  }
+
   // ---- renders and properties --------------------------------------------
 
   test("render round-trips a flat conjunction") {
