@@ -9,9 +9,9 @@ import repro.catalog.{CatalogSynth, LakeSynth}
   * spark-submit --class repro.jobs.BuildLake repro.jar <outDir> [sf] [seed]
   * }}}
   *
-  * Writes `<outDir>/lake/<DATASET>/` parquet datasets (extractable by the
-  * `humboldt-catalog` V2 source) and `<outDir>/catalog/<table>/` parquet
-  * dumps of the metadata catalog.
+  * Writes `<outDir>/lake/<DATASET>/` parquet datasets (the input of
+  * [[ExtractMetadata]]) and `<outDir>/catalog/<table>/` parquet dumps of the
+  * metadata catalog.
   */
 object BuildLake {
   def main(args: Array[String]): Unit = {

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
+import org.apache.hadoop.fs.Path
 import repro.catalog.CatalogTables
 import repro.extract.{ColumnSketches, Embedding, Joinability}
 
@@ -11,9 +11,10 @@ import repro.extract.{ColumnSketches, Embedding, Joinability}
   * spark-submit --class repro.jobs.ExtractMetadata repro.jar <dir> [minhashK] [threshold]
   * }}}
   *
-  * Produces `<dir>/extracted/lake_catalog` (V2-source dataset metadata),
+  * Reads every dataset directory under `<dir>/lake` and produces
   * `<dir>/extracted/join_edges` (MinHash joinability graph) and
-  * `<dir>/extracted/coordinates` (2-D artifact embedding).
+  * `<dir>/extracted/coordinates` (2-D artifact embedding). A `<dir>` with
+  * no `lake` directory exits 2.
   */
 object ExtractMetadata {
   def main(args: Array[String]): Unit = {
@@ -24,12 +25,13 @@ object ExtractMetadata {
 
     val spark = JobSession("humboldt-extract")
     try {
-      // Dataset-level metadata via the DataSourceV2 (footer scans only).
-      val lakeMeta = spark.read.format("humboldt-catalog").load(s"$dir/lake")
-      lakeMeta.write.mode("overwrite").parquet(s"$dir/extracted/lake_catalog")
-
-      // Column sketches + joinability edges over the lake data itself.
-      val names = lakeMeta.select("name").collect().map(_.getString(0)).toSeq
+      // Column sketches + joinability edges over the lake data itself, one
+      // table per dataset directory, in name order.
+      val lake = new Path(s"$dir/lake")
+      val fs   = lake.getFileSystem(spark.sparkContext.hadoopConfiguration)
+      if (!fs.exists(lake) || !fs.getFileStatus(lake).isDirectory)
+        JobSession.usageExit(s"no lake at $dir/lake", usage)
+      val names = fs.listStatus(lake).filter(_.isDirectory).map(_.getPath.getName).sorted.toSeq
       val tables = names.map(n => n -> spark.read.parquet(s"$dir/lake/$n"))
       val sketches = ColumnSketches.sketchAll(tables, k)
       val edges = Joinability.edges(sketches, threshold)

@@ -26,8 +26,7 @@ object CatalogSchema {
   *
   * This is the substrate every metadata provider reads from. In the paper
   * these would be Sigma's production metadata services; here they are
-  * synthesized by [[CatalogSynth]] or extracted from a parquet lake by the
-  * `humboldt-catalog` DataSourceV2 (see DESIGN.md §1 for the substitution).
+  * synthesized by [[CatalogSynth]] (see DESIGN.md §1 for the substitution).
   */
 final case class CatalogTables(
     artifacts: DataFrame,

@@ -68,11 +68,11 @@ object LakeSynth {
     )
   }
 
-  /** Persist the lake as parquet dataset directories — the layout the
-    * `humboldt-catalog` DataSourceV2 extracts metadata from.
+  /** Persist the lake as parquet dataset directories, one per table — the
+    * layout `repro.jobs.ExtractMetadata` sketches and joins.
     */
-  def writeLake(spark: SparkSession, root: String, rows: Long = 200, seed: Long = 7): Unit =
-    tables(spark, rows, seed).foreach { case (name, df) =>
+  def writeLake(spark: SparkSession, root: String): Unit =
+    tables(spark).foreach { case (name, df) =>
       df.write.mode("overwrite").parquet(s"$root/$name")
     }
 }

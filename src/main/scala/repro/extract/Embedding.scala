@@ -1,5 +1,6 @@
 package repro.extract
 
+import breeze.linalg.{eigSym, DenseMatrix}
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.catalog.CatalogTables
@@ -13,7 +14,7 @@ import repro.catalog.CatalogTables
   * artifact gets a feature vector (popularity, favorites, age, type one-hot,
   * endorsement), standardized, projected onto the top-2 principal components.
   * The covariance is accumulated with a single DataFrame aggregation (d is
-  * tiny), eigenvectors come from driver-side power iteration, and the
+  * tiny), eigenvectors come from breeze's `eigSym` on the driver, and the
   * projection itself is again a column expression — no data leaves the
   * cluster except the d×d covariance.
   */
@@ -35,26 +36,18 @@ object Embedding {
     (df, df.columns.filter(_.startsWith("f_")).toSeq)
   }
 
-  /** Top-`top` eigenvectors of symmetric matrix `m` by power iteration with
-    * deflation. Deterministic: starts from fixed unit vectors.
+  /** Top-`top` eigenvectors of symmetric matrix `m`, largest eigenvalue
+    * first, each with its largest-magnitude entry positive so that the
+    * orientation does not depend on the LAPACK backend `eigSym` runs on.
     */
   private[extract] def topEigenvectors(m: Array[Array[Double]], top: Int): Seq[Array[Double]] = {
     val d = m.length
-    var work = m.map(_.clone())
-    (0 until math.min(top, d)).map { comp =>
-      var v = Array.tabulate(d)(i => if (i == comp % d) 1.0 else 0.1)
-      var lambda = 0.0
-      for (_ <- 0 until 200) {
-        val next = Array.tabulate(d)(i => work(i).iterator.zip(v.iterator).map { case (a, b) => a * b }.sum)
-        val norm = math.sqrt(next.map(x => x * x).sum)
-        if (norm > 1e-12) {
-          v = next.map(_ / norm)
-          lambda = norm
-        }
-      }
-      // Deflate: work -= lambda * v v^T
-      work = Array.tabulate(d, d)((i, j) => work(i)(j) - lambda * v(i) * v(j))
-      v
+    val vectors = eigSym(DenseMatrix.tabulate(d, d)((i, j) => m(i)(j))).eigenvectors
+    // eigSym orders eigenvalues ascending, so the largest are the last columns.
+    (0 until math.min(top, d)).map { k =>
+      val v = vectors(::, d - 1 - k).toArray
+      val sign = math.signum(v.maxBy(x => math.abs(x)))
+      v.map(_ * sign)
     }
   }
 

@@ -17,7 +17,10 @@ final case class Suggestion(completion: String, provider: String, detail: String
   * provider requires an input value, Humboldt can recommend plausible
   * values based on the specified input type").
   */
-final class Suggest(spec: HumboldtSpec, ctx: ProviderContext, limit: Int = 20) {
+final class Suggest(spec: HumboldtSpec, ctx: ProviderContext) {
+
+  /** Most values one value completion returns. */
+  private val Limit = 20
 
   private def searchable: Seq[MetadataProviderSpec] = spec.providersOn(Surface.Search)
 
@@ -59,7 +62,7 @@ final class Suggest(spec: HumboldtSpec, ctx: ProviderContext, limit: Int = 20) {
         .where(if (pre.isEmpty) lit(true) else lower(col("v")).startsWith(pre))
         .distinct()
         .orderBy("v")
-        .limit(limit)
+        .limit(Limit)
         .collect()
         .map(_.getString(0)).toSeq
 

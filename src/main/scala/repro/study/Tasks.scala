@@ -22,13 +22,15 @@ final case class TaskResult(task: Int, agent: Int, success: Boolean,
   * compilation, or ranking fails the simulated study exactly as it would
   * have failed the human one.
   */
-final class StudyHarness(spec: HumboldtSpec, registry: Registry, ctx: ProviderContext,
-                         pageSize: Int = 10) {
+final class StudyHarness(spec: HumboldtSpec, registry: Registry, ctx: ProviderContext) {
+
+  /** Rows an agent reads per page of a ranked list. */
+  private val PageSize = 10
 
   val model: InterfaceModel = Interface.generate(spec, registry, ctx)
 
   /** Pages an agent scans to reach 0-based position `pos` in a ranked list. */
-  private def pagesTo(pos: Int): Int = pos / pageSize + 1
+  private def pagesTo(pos: Int): Int = pos / PageSize + 1
 
   /** Task 1 — "find table AIRLINES, which has the endorsed tag". */
   def task1(agent: AgentProfile): TaskResult = {
@@ -150,7 +152,7 @@ final class StudyHarness(spec: HumboldtSpec, registry: Registry, ctx: ProviderCo
         // Ownership is not text; "John Doe" matches nothing searchable.
         val got = textIds("John Doe")
         TaskResult(3, agent.id, success = false, assists = 0,
-          steps = 1 + math.max(1, got.size / pageSize), route = "baseline-text")
+          steps = 1 + math.max(1, got.size / PageSize), route = "baseline-text")
       case 4 =>
         TaskResult(4, agent.id, success = false, assists = 0, steps = 1, route = "baseline-text")
       case other => throw new IllegalArgumentException(s"no task $other")

@@ -69,4 +69,13 @@ class EmbeddingSpec extends SparkSpec {
     val dot = v1.zip(v2).map { case (a, b) => a * b }.sum
     assert(math.abs(dot) < 1e-4, s"dot=$dot")
   }
+
+  test("each eigenvector is oriented with its largest-magnitude entry positive") {
+    // 4·uuᵀ + wwᵀ with u = (0.6, -0.8), w = (0.8, 0.6): the top eigenvector is
+    // ±u, oriented as -u so that its largest-magnitude entry (0.8) is positive.
+    val m = Array(Array(2.08, -1.44), Array(-1.44, 2.92))
+    val Seq(v1, v2) = Embedding.topEigenvectors(m, 2)
+    assert(math.abs(v1(0) + 0.6) < 1e-6 && math.abs(v1(1) - 0.8) < 1e-6, v1.mkString(","))
+    assert(math.abs(v2(0) - 0.8) < 1e-6 && math.abs(v2(1) - 0.6) < 1e-6, v2.mkString(","))
+  }
 }

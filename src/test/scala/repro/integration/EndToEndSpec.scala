@@ -3,7 +3,6 @@ package repro.integration
 import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
-import repro.catalog.LakeSynth
 import repro.providers.Registry
 import repro.search.QueryParser
 import repro.spec._
@@ -107,22 +106,6 @@ class EndToEndSpec extends SparkSpec {
     val hits = model.compiler.search(":stale_docs() & 'airlines'")
       .fold(e => fail(e), identity)
     assert(hits.count() > 0)
-  }
-
-  test("lake metadata from the V2 source can seed discovery") {
-    val dir = Files.createTempDirectory("e2e-lake").toString
-    LakeSynth.writeLake(spark, dir, rows = 120, seed = 5)
-    val lakeMeta = spark.read.format("humboldt-catalog").load(dir)
-
-    // The extracted lake metadata joins against catalog artifacts by name —
-    // the bridge between filesystem reality and the metadata catalog.
-    val joined = ctx.catalog.artifacts
-      .join(lakeMeta.select(col("name"), col("row_count")), Seq("name"))
-    val rows = joined.select("name", "row_count").collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
-    assert(rows.keySet == Set("AIRLINES", "SALES_PIPELINE", "SALES_FORECAST",
-      "REGIONAL_SALES", "CUSTOMER_BASE"))
-    assert(rows("AIRLINES") == 120)
   }
 
   test("search grammar grows with the spec (abstract's compilation claim)") {
