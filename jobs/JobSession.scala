@@ -15,10 +15,10 @@ import repro.spec.HumboldtSpec
   * environments.
   *
   * The profile suits catalog-sized relations (at most ~10^5 rows), where a
-  * query's time is mostly a fixed cost per stage (DESIGN.md, "Spark
-  * session"). Broadcast joins (10 MB threshold) and AQE keep Spark's
-  * defaults. A key the launcher sets (`spark-submit --conf`, or a
-  * `-Dspark.*` property) keeps the launcher's value.
+  * query's time is mostly a fixed cost per query and per job rather than
+  * task work (DESIGN.md, "Spark session"). Broadcast joins keep Spark's
+  * 10 MB threshold; AQE is off. A key the launcher sets (`spark-submit
+  * --conf`, or a `-Dspark.*` property) keeps the launcher's value.
   */
 object JobSession {
 
@@ -30,6 +30,10 @@ object JobSession {
     // Interpreted operators: each stage would otherwise compile its own
     // whole-stage-codegen class, which costs more than it saves on ~10^4 rows.
     "spark.sql.codegen.wholeStage" -> "false",
+    // Every cached catalog relation is one partition, so the static plan has
+    // nothing left for AQE to coalesce or skew-split; re-planning at each
+    // stage boundary would only add driver time and jobs to every query.
+    "spark.sql.adaptive.enabled" -> "false",
   )
 
   /** The profile entries whose keys `launcher` does not set. */

@@ -97,6 +97,19 @@ final case class CatalogTables(
       .coalesce(1).cache()
   }
 
+  /** Usage events per team and artifact: `(team_name, artifact_id,
+    * team_uses)`, counted over the team's members. Built on the first
+    * team-activity fetch and cached as one partition, so a fetch is a
+    * filter on `team_name` rather than a pass over every usage event
+    * (DESIGN.md "Derived relations").
+    */
+  lazy val teamUsage: DataFrame =
+    usage.join(users.select("user_id", "team_id"), "user_id")
+      .join(teams.select("team_id", "team_name"), "team_id")
+      .groupBy("team_name", "artifact_id")
+      .agg(count(lit(1)).as("team_uses"))
+      .coalesce(1).cache()
+
   /** All tables by name, for oracle registration and persistence. */
   def byName: Map[String, DataFrame] = Map(
     "artifacts" -> artifacts, "users" -> users, "teams" -> teams,

@@ -1,6 +1,6 @@
 package repro.extract
 
-import breeze.linalg.{eigSym, DenseMatrix}
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, EigenDecomposition}
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.catalog.CatalogTables
@@ -14,9 +14,9 @@ import repro.catalog.CatalogTables
   * artifact gets a feature vector (popularity, favorites, age, type one-hot,
   * endorsement), standardized, projected onto the top-2 principal components.
   * The covariance is accumulated with a single DataFrame aggregation (d is
-  * tiny), eigenvectors come from breeze's `eigSym` on the driver, and the
-  * projection itself is again a column expression — no data leaves the
-  * cluster except the d×d covariance.
+  * tiny), eigenvectors come from commons-math3's `EigenDecomposition` on
+  * the driver, and the projection itself is again a column expression — no
+  * data leaves the cluster except the d×d covariance.
   */
 object Embedding {
 
@@ -38,14 +38,13 @@ object Embedding {
 
   /** Top-`top` eigenvectors of symmetric matrix `m`, largest eigenvalue
     * first, each with its largest-magnitude entry positive so that the
-    * orientation does not depend on the LAPACK backend `eigSym` runs on.
+    * orientation does not depend on the solver.
     */
   private[extract] def topEigenvectors(m: Array[Array[Double]], top: Int): Seq[Array[Double]] = {
-    val d = m.length
-    val vectors = eigSym(DenseMatrix.tabulate(d, d)((i, j) => m(i)(j))).eigenvectors
-    // eigSym orders eigenvalues ascending, so the largest are the last columns.
-    (0 until math.min(top, d)).map { k =>
-      val v = vectors(::, d - 1 - k).toArray
+    val eig = new EigenDecomposition(new Array2DRowRealMatrix(m))
+    val byValue = m.indices.sortBy(i => -eig.getRealEigenvalue(i))
+    byValue.take(top).map { i =>
+      val v = eig.getEigenvector(i).toArray
       val sign = math.signum(v.maxBy(x => math.abs(x)))
       v.map(_ * sign)
     }

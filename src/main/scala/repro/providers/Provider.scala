@@ -27,6 +27,25 @@ final case class ProviderContext(
     * [[CatalogTables.enrichedArtifacts]].
     */
   def enrichedArtifacts: DataFrame = catalog.enrichedArtifacts
+
+  /** The extracted edges with `src` and `dst` resolved to the artifact ids
+    * of their tables (names matched case-insensitively): `(src, dst,
+    * weight, src_table, src_column, dst_table, dst_column)`. An edge whose
+    * table names no artifact is dropped. Built on the first joinability
+    * fetch and cached as one partition, so a fetch is a filter on the table
+    * names (DESIGN.md "Derived relations").
+    */
+  lazy val joinEdgesById: Option[DataFrame] = joinEdges.map { edges =>
+    val names = catalog.artifacts.select(col("artifact_id"), upper(col("name")).as("uname"))
+    edges
+      .join(names.select(col("artifact_id").as("src"), col("uname").as("src_name")),
+        upper(col("src_table")) === col("src_name"))
+      .join(names.select(col("artifact_id").as("dst"), col("uname").as("dst_name")),
+        upper(col("dst_table")) === col("dst_name"))
+      .select(col("src"), col("dst"), col("score").as("weight"),
+        col("src_table"), col("src_column"), col("dst_table"), col("dst_column"))
+      .coalesce(1).cache()
+  }
 }
 
 /** Raised when a provider is invoked without a declared required input

@@ -114,23 +114,17 @@ object StandardProviders {
   }
 
   /** Most-used artifacts among a team's members — "which dashboards are my
-    * teammates working on?" (paper §1). Usage events joined through team
-    * membership, counted, top-k by the window.
+    * teammates working on?" (paper §1). The team's rows of the catalog's
+    * cached usage counts ([[repro.catalog.CatalogTables.teamUsage]]),
+    * most used first.
     */
   object TeamFrequent extends Provider {
     val endpoint = "team_frequent"
     val representation: Representation = Tiles
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
-      val team = need(inputs, "team")
-      val members = ctx.catalog.users
-        .join(ctx.catalog.teams.where(col("team_name") === team).select("team_id"), "team_id")
-        .select(col("user_id").as("member_id"))
-      val counts = ctx.catalog.usage
-        .join(members, col("user_id") === col("member_id"))
-        .groupBy(col("artifact_id").as("u_aid"))
-        .agg(count(lit(1)).as("team_uses"))
-      base(ctx).join(counts, col("artifact_id") === col("u_aid"), "inner")
-        .drop("u_aid")
+      val counts = ctx.catalog.teamUsage.where(col("team_name") === need(inputs, "team"))
+        .drop("team_name")
+      base(ctx).join(counts, "artifact_id")
         .orderBy(col("team_uses").desc, col("artifact_id"))
     }
   }
@@ -154,28 +148,20 @@ object StandardProviders {
     }
   }
 
-  /** Joinability graph around an input table (Figure 3). Requires the
-    * extraction substrate's edges; the node ids are artifact ids resolved
-    * from table names so graph results compose with search.
+  /** Joinability graph around an input table (Figure 3): the edges of
+    * [[ProviderContext.joinEdgesById]] incident to the table, matched
+    * case-insensitively. Requires the extraction substrate's edges; the
+    * node ids are artifact ids so graph results compose with search.
     */
   object Joinable extends Provider {
     val endpoint = "joinable"
     val representation: Representation = Graph
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
-      val table = need(inputs, "table")
-      val edges = ctx.joinEdges.getOrElse(
+      val table = need(inputs, "table").toLowerCase
+      val edges = ctx.joinEdgesById.getOrElse(
         throw new IllegalStateException(
           "joinable provider needs extracted join edges in ProviderContext"))
-      val names = ctx.catalog.artifacts.select(col("artifact_id"), col("name"))
-      val incident = edges.where(lower(col("src_table")) === table.toLowerCase ||
-        lower(col("dst_table")) === table.toLowerCase)
-      incident
-        .join(names.select(col("artifact_id").as("src"), upper(col("name")).as("src_name")),
-          upper(col("src_table")) === col("src_name"), "inner")
-        .join(names.select(col("artifact_id").as("dst"), upper(col("name")).as("dst_name")),
-          upper(col("dst_table")) === col("dst_name"), "inner")
-        .select(col("src"), col("dst"), col("score").as("weight"),
-          col("src_table"), col("src_column"), col("dst_table"), col("dst_column"))
+      edges.where(lower(col("src_table")) === table || lower(col("dst_table")) === table)
     }
   }
 

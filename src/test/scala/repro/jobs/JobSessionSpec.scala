@@ -23,10 +23,9 @@ class JobSessionSpec extends SparkSpec {
     case _ => false
   }
 
-  test("the test session carries JobSession's profile and Spark's broadcast and AQE defaults") {
+  test("the test session carries JobSession's profile and Spark's broadcast default") {
     JobSession.Profile.foreach { case (key, value) => assert(spark.conf.get(key) == value, key) }
     assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "10485760b")
-    assert(spark.conf.get("spark.sql.adaptive.enabled") == "true")
   }
 
   test("a key the launcher sets keeps the launcher's value") {
@@ -50,9 +49,11 @@ class JobSessionSpec extends SparkSpec {
   }
 
   test("every relation the study context caches, the lineage closure included, is one partition") {
-    val cat = TestFixtures.ctx.catalog
+    val ctx = TestFixtures.ctx
+    val cat = ctx.catalog
     val cached = cat.byName ++ Map(
-      "enrichedArtifacts" -> cat.enrichedArtifacts, "lineageClosure" -> cat.lineageClosure)
+      "enrichedArtifacts" -> cat.enrichedArtifacts, "lineageClosure" -> cat.lineageClosure,
+      "teamUsage" -> cat.teamUsage, "joinEdgesById" -> ctx.joinEdgesById.get)
     cached.foreach { case (name, df) =>
       assert(df.storageLevel != StorageLevel.NONE, name)
       assert(df.rdd.getNumPartitions == 1, name)

@@ -1,6 +1,7 @@
 package repro.providers
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkJobs, SparkSpec, TestFixtures}
 import repro.spec.Representation
@@ -178,6 +179,61 @@ class ProvidersSpec extends SparkSpec {
     for (root <- Seq(1L, 5L, 6L))
       assert(rows(LineageChildren.fetch(ctx, Map("artifact" -> root.toString))) ==
         rows(tagged.where(col("root") === root)), s"root $root")
+  }
+
+  test("oracle: teamUsage matches a GROUP BY over usage, users and teams") {
+    val sparkDf = cat.teamUsage.select(col("team_name"),
+      col("artifact_id").cast("long").as("artifact_id"), col("team_uses"))
+    Oracle.assertEquivalent(sparkDf,
+      """SELECT t.team_name, CAST(us.artifact_id AS BIGINT) AS artifact_id,
+        |       COUNT(*) AS team_uses
+        |FROM usage_events us
+        |JOIN users u ON us.user_id = u.user_id
+        |JOIN teams t ON u.team_id = t.team_id
+        |GROUP BY t.team_name, us.artifact_id""".stripMargin,
+      "usage_events" -> cat.usage, "users" -> cat.users, "teams" -> cat.teams)
+  }
+
+  test("oracle: joinEdgesById matches the edges joined to artifacts on upper(name)") {
+    Oracle.assertEquivalent(ctx.joinEdgesById.get,
+      """SELECT CAST(s.artifact_id AS BIGINT) AS src, CAST(d.artifact_id AS BIGINT) AS dst,
+        |       CAST(e.score AS DOUBLE) AS weight,
+        |       e.src_table, e.src_column, e.dst_table, e.dst_column
+        |FROM edges e
+        |JOIN artifacts s ON upper(s.name) = upper(e.src_table)
+        |JOIN artifacts d ON upper(d.name) = upper(e.dst_table)""".stripMargin,
+      "edges" -> ctx.joinEdges.get, "artifacts" -> cat.artifacts)
+  }
+
+  test("joinable returns the same edges for a table name in any case") {
+    def edges(table: String): Set[String] =
+      Joinable.fetch(ctx, Map("table" -> table)).collect().map(_.toString).toSet
+    val expected = edges("AIRLINES")
+    assert(expected.nonEmpty)
+    assert(edges("airlines") == expected)
+    assert(edges("Airlines") == expected)
+  }
+
+  test("a second team_frequent or joinable fetch reads its cached derived relation") {
+    val derived = Seq(
+      (TeamFrequent, Map("team" -> "A Team"), cat.teamUsage),
+      (Joinable, Map("table" -> "AIRLINES"), ctx.joinEdgesById.get))
+    for ((p, inputs, relation) <- derived) {
+      p.fetch(ctx, inputs).collect()
+      val built = relation.queryExecution.withCachedData match {
+        case r: InMemoryRelation => r
+        case other => fail(s"${p.endpoint}: derived relation is not cached: $other")
+      }
+      assert(built.cacheBuilder.isCachedColumnBuffersLoaded, p.endpoint)
+      // Every leaf of the second fetch is a cached relation, the derived one
+      // among them, so nothing is recomputed from the catalog's tables.
+      val leaves = p.fetch(ctx, inputs).queryExecution.withCachedData.collectLeaves()
+      assert(leaves.forall(_.isInstanceOf[InMemoryRelation]), s"${p.endpoint}: $leaves")
+      assert(leaves.exists {
+        case r: InMemoryRelation => r.cacheBuilder eq built.cacheBuilder
+        case _ => false
+      }, p.endpoint)
+    }
   }
 
   // ---- behavioral specifics ------------------------------------------------

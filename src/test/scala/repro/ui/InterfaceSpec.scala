@@ -140,7 +140,7 @@ class InterfaceSpec extends SparkSpec {
     assert(roots == Seq(1L))
   }
 
-  test("an exploration click renders every tab's first page in at most 21 Spark jobs") {
+  test("an exploration click renders every tab's first page in at most 17 Spark jobs") {
     // What a screen shows: each tab's first page of rows, and a categories
     // view's whole rollup (the study's page size is 10).
     def click(): Unit = Interface.exploration(spec, registry, ctx, 1L).foreach { t =>
@@ -154,9 +154,9 @@ class InterfaceSpec extends SparkSpec {
       }
       page.limit(10).collect()
     }
-    click() // the first click also builds the lineage closure
+    click() // the first click also builds the lineage closure, team usage and resolved edges
     val jobs = SparkJobs.count(spark)(click())
-    assert(jobs <= 21, jobs)
+    assert(jobs <= 17, jobs)
   }
 
   // ---- team home page (§4.3) -----------------------------------------------
