@@ -17,7 +17,8 @@ import repro.spec.HumboldtSpec
   * The profile suits catalog-sized relations (at most ~10^5 rows), where a
   * query's time is mostly a fixed cost per query and per job rather than
   * task work (DESIGN.md, "Spark session"). Broadcast joins keep Spark's
-  * 10 MB threshold; AQE is off. A key the launcher sets (`spark-submit
+  * 10 MB threshold; AQE is off; the codegen cache holds 1000 generated
+  * classes instead of 100. A key the launcher sets (`spark-submit
   * --conf`, or a `-Dspark.*` property) keeps the launcher's value.
   */
 object JobSession {
@@ -34,6 +35,10 @@ object JobSession {
     // nothing left for AQE to coalesce or skew-split; re-planning at each
     // stage boundary would only add driver time and jobs to every query.
     "spark.sql.adaptive.enabled" -> "false",
+    // Room for every class a session generates: at Spark's default of 100
+    // entries the explore workload evicts and recompiles classes on every
+    // interaction (DESIGN.md, "Spark session").
+    "spark.sql.codegen.cache.maxEntries" -> "1000",
   )
 
   /** The profile entries whose keys `launcher` does not set. */

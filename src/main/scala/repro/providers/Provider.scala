@@ -76,6 +76,12 @@ trait Provider {
     */
   def fetch(ctx: ProviderContext, inputs: Map[String, String] = Map.empty): DataFrame
 
+  /** The input names [[fetch]] cannot do without (those it reads through
+    * [[need]]). A spec entry that declares no input of one of these names is
+    * a validation error ([[ProviderBinding.validate]]).
+    */
+  def needs: Set[String] = Set.empty
+
   /** Convenience: throw unless a required input is present. */
   protected def need(inputs: Map[String, String], key: String): String =
     inputs.getOrElse(key, throw MissingInputException(endpoint, key))
@@ -133,7 +139,10 @@ object ProviderBinding {
           Seq(s"provider '${p.name}': spec declares representation " +
             s"'${p.representation.name}' but endpoint '${p.endpoint}' produces " +
             s"'${impl.representation.name}'")
-        case _ => Seq.empty
+        case Some(impl) =>
+          (impl.needs -- p.inputs.map(_.name)).toSeq.sorted.map(n =>
+            s"provider '${p.name}': endpoint '${p.endpoint}' needs input '$n', " +
+              "which the spec entry does not declare")
       }
     }
     structural ++ binding

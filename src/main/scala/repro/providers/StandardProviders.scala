@@ -49,6 +49,7 @@ object StandardProviders {
   object OwnedBy extends Provider {
     val endpoint = "owned_by"
     val representation: Representation = ListRep
+    override val needs: Set[String] = Set("user")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame =
       byUserName(ctx, need(inputs, "user"), col("owner_id"), base(ctx))
   }
@@ -79,6 +80,7 @@ object StandardProviders {
   object BadgedBy extends Provider {
     val endpoint = "badged_by"
     val representation: Representation = ListRep
+    override val needs: Set[String] = Set("user")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val name = need(inputs, "user")
       val b = byUserName(ctx, name, col("badged_by"), ctx.catalog.badges)
@@ -104,6 +106,7 @@ object StandardProviders {
   object TeamDocs extends Provider {
     val endpoint = "team_docs"
     val representation: Representation = Tiles
+    override val needs: Set[String] = Set("team")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val team = need(inputs, "team")
       val t = ctx.catalog.teams.where(col("team_name") === team)
@@ -121,6 +124,7 @@ object StandardProviders {
   object TeamFrequent extends Provider {
     val endpoint = "team_frequent"
     val representation: Representation = Tiles
+    override val needs: Set[String] = Set("team")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val counts = ctx.catalog.teamUsage.where(col("team_name") === need(inputs, "team"))
         .drop("team_name")
@@ -139,6 +143,7 @@ object StandardProviders {
   object LineageChildren extends Provider {
     val endpoint = "lineage_children"
     val representation: Representation = Hierarchy
+    override val needs: Set[String] = Set("artifact")
     val maxDepth: Int = CatalogTables.LineageMaxDepth
 
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
@@ -156,6 +161,7 @@ object StandardProviders {
   object Joinable extends Provider {
     val endpoint = "joinable"
     val representation: Representation = Graph
+    override val needs: Set[String] = Set("table")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val table = need(inputs, "table").toLowerCase
       val edges = ctx.joinEdgesById.getOrElse(
@@ -185,6 +191,7 @@ object StandardProviders {
   object TextMatch extends Provider {
     val endpoint = "text_match"
     val representation: Representation = ListRep
+    override val needs: Set[String] = Set("q")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
       val q = need(inputs, "q").toLowerCase
       base(ctx).where(

@@ -1,6 +1,9 @@
 package repro.ui
 
-import org.apache.spark.sql.DataFrame
+import java.util.concurrent.{Callable, ExecutionException, Executors}
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.providers.{ProviderBinding, ProviderContext, Registry}
 import repro.search.{QueryCompiler, Suggest}
@@ -97,15 +100,66 @@ object Interface {
   /** Exploration tabs for a selected artifact (§5.2, §6.3): every
     * exploration-visible provider whose required inputs can all be bound
     * from the artifact's metadata. Optional inputs bind opportunistically.
+    *
+    * The tabs are built and loaded concurrently ("new UI elements can be
+    * loaded when input values become available", §3.2), on a pool of
+    * `min(tabs, defaultParallelism)` threads created for this call, so its
+    * threads inherit the caller's Spark local properties (job group,
+    * tracing properties). A tab's exception is rethrown as itself. See
+    * [[load]] for what a loaded view holds.
     */
   def exploration(spec: HumboldtSpec, registry: Registry, ctx: ProviderContext,
                   artifactId: Long): Seq[GeneratedTab] = {
     val context = explorationContext(ctx, artifactId)
-    spec.providersOn(Surface.Exploration).flatMap { p =>
-      val bound = p.inputs.flatMap(in => context.get(in.inputType).map(in.name -> _)).toMap
-      val satisfied = p.requiredInputs.forall(in => bound.contains(in.name))
-      if (satisfied && p.inputs.nonEmpty) Some(tab(spec, registry, ctx, p, bound))
-      else None
+    val bound = spec.providersOn(Surface.Exploration).flatMap { p =>
+      val inputs = p.inputs.flatMap(in => context.get(in.inputType).map(in.name -> _)).toMap
+      val satisfied = p.requiredInputs.forall(in => inputs.contains(in.name))
+      if (satisfied && p.inputs.nonEmpty) Some(p -> inputs) else None
+    }
+    concurrently(ctx.spark, bound.map { case (p, inputs) => () => {
+      val t = tab(spec, registry, ctx, p, inputs)
+      t.copy(view = load(ctx.spark, t.view))
+    }})
+  }
+
+  /** Runs `tasks` on a pool of `min(tasks, defaultParallelism)` threads made
+    * by the calling thread, and returns their results in order. Every pool
+    * thread has ended when this returns or throws.
+    */
+  private def concurrently[A](spark: SparkSession, tasks: Seq[() => A]): Seq[A] = {
+    if (tasks.isEmpty) return Nil
+    val threads = mutable.ArrayBuffer.empty[Thread]
+    val pool = Executors.newFixedThreadPool(
+      math.min(tasks.size, spark.sparkContext.defaultParallelism),
+      (r: Runnable) => threads.synchronized {
+        val t = new Thread(r, s"exploration-tab-${threads.size}")
+        threads += t
+        t
+      })
+    try pool.invokeAll(tasks.map(t => (() => t()): Callable[A]).asJava).asScala.toSeq.map { f =>
+      try f.get() catch { case e: ExecutionException => throw e.getCause }
+    } finally {
+      pool.shutdown()
+      threads.synchronized(threads.toList).foreach(_.join())
+    }
+  }
+
+  /** The view with each frame a screen reads collected once and replaced
+    * by a local relation over the rows, so a later `limit(n).collect()` is
+    * answered on the driver (Catalyst's `ConvertToLocalRelation`) and
+    * starts no Spark job. A graph's `nodes` stay lazy: no page reads them.
+    * Overview and team home tabs are not loaded: they span the catalog
+    * (Popular is every artifact, 10^5 rows at SF 1.0).
+    */
+  private def load(spark: SparkSession, view: ViewModel): ViewModel = {
+    def local(df: DataFrame): DataFrame = spark.createDataFrame(df.collect().toSeq.asJava, df.schema)
+    view match {
+      case v: TilesView          => v.copy(data = local(v.data))
+      case v: ListView           => v.copy(data = local(v.data))
+      case v: HierarchyView      => v.copy(data = local(v.data))
+      case v: GraphView          => v.copy(edges = local(v.edges))
+      case v: CategoriesView     => v.copy(rollup = local(v.rollup), members = local(v.members))
+      case v: EmbeddingViewModel => v.copy(points = local(v.points))
     }
   }
 

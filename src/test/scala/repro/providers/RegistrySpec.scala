@@ -58,6 +58,27 @@ class RegistrySpec extends AnyFunSuite {
     assert(errs.exists(_.contains("representation")))
   }
 
+  test("standard providers declare the input names they need; the default is none") {
+    val needs = StandardProviders.all.filter(_.needs.nonEmpty).map(p => p.endpoint -> p.needs).toMap
+    assert(needs == Map(
+      "owned_by" -> Set("user"), "badged_by" -> Set("user"),
+      "team_docs" -> Set("team"), "team_frequent" -> Set("team"),
+      "lineage_children" -> Set("artifact"), "joinable" -> Set("table"), "text_match" -> Set("q")))
+    assert(FakeProvider.needs.isEmpty)
+  }
+
+  test("binding validation flags a spec entry that lacks an input its endpoint needs") {
+    // A Lineage input renamed `root`: before this check it passed
+    // validation and failed only when exploration fetched the tab.
+    val renamed = UseCaseSpec.default.copy(providers = UseCaseSpec.default.providers.map {
+      case p if p.name == "Lineage" => p.copy(inputs = p.inputs.map(_.copy(name = "root")))
+      case p => p
+    })
+    assert(ProviderBinding.validate(renamed, Registry.standard) == Seq(
+      "provider 'Lineage': endpoint 'lineage_children' needs input 'artifact', " +
+        "which the spec entry does not declare"))
+  }
+
   test("binding validation includes structural errors") {
     val spec = HumboldtSpec(Seq(entry("X", "recents"), entry("X", "recents")))
     assert(ProviderBinding.validate(spec, Registry.standard)

@@ -1,8 +1,12 @@
 package repro.ui
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkJobs, SparkSpec, TestFixtures}
-import repro.providers.Registry
+import repro.providers.{MissingInputException, Provider, ProviderContext, Registry}
+import repro.providers.StandardProviders.LineageChildren
 import repro.spec._
 
 class InterfaceSpec extends SparkSpec {
@@ -143,7 +147,7 @@ class InterfaceSpec extends SparkSpec {
   test("an exploration click renders every tab's first page in at most 17 Spark jobs") {
     // What a screen shows: each tab's first page of rows, and a categories
     // view's whole rollup (the study's page size is 10).
-    def click(): Unit = Interface.exploration(spec, registry, ctx, 1L).foreach { t =>
+    def render(tabs: Seq[GeneratedTab]): Unit = tabs.foreach { t =>
       val page = t.view match {
         case v: TilesView          => v.data
         case v: ListView           => v.data
@@ -154,9 +158,72 @@ class InterfaceSpec extends SparkSpec {
       }
       page.limit(10).collect()
     }
-    click() // the first click also builds the lineage closure, team usage and resolved edges
-    val jobs = SparkJobs.count(spark)(click())
-    assert(jobs <= 17, jobs)
+    // The first click also builds the lineage closure, team usage and resolved edges.
+    render(Interface.exploration(spec, registry, ctx, 1L))
+    val sc = spark.sparkContext
+    var tabs = Seq.empty[GeneratedTab]
+    sc.setJobGroup("click", "one exploration click")
+    val clickJobs =
+      try SparkJobs.properties(spark) { tabs = Interface.exploration(spec, registry, ctx, 1L) }
+      finally sc.clearJobGroup()
+    val renderJobs = SparkJobs.count(spark)(render(tabs))
+    assert(clickJobs.size + renderJobs <= 17, (clickJobs.size, renderJobs))
+    // The tabs are loaded by the click, so their pages are read on the driver.
+    assert(renderJobs == 0)
+    // Pool threads inherit the caller's job group, so cancelJobGroup reaches them.
+    assert(clickJobs.nonEmpty)
+    assert(clickJobs.map(_.getProperty("spark.jobGroup.id")).distinct == Seq("click"))
+  }
+
+  test("a tab's exception surfaces as itself, and no pool thread outlives the click") {
+    val ran = new ConcurrentLinkedQueue[Thread]
+    object Recording extends Provider {
+      val endpoint = LineageChildren.endpoint
+      val representation: Representation = LineageChildren.representation
+      def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
+        ran.add(Thread.currentThread)
+        LineageChildren.fetch(ctx, inputs)
+      }
+    }
+    val recording = registry.register(Recording)
+    def poolThreads = Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("exploration-tab-"))
+
+    assert(Interface.exploration(spec, recording, ctx, 1L).exists(_.provider.name == "Lineage"))
+    assert(ran.asScala.forall(t => t != Thread.currentThread && !t.isAlive) && ran.size == 1)
+    assert(poolThreads.isEmpty)
+
+    // A Lineage input named `root`: the implementation reads `artifact`.
+    val renamed = spec.copy(providers = spec.providers.map {
+      case p if p.name == "Lineage" => p.copy(inputs = p.inputs.map(_.copy(name = "root")))
+      case p => p
+    })
+    val e = intercept[MissingInputException](Interface.exploration(renamed, recording, ctx, 1L))
+    assert(e == MissingInputException("lineage_children", "artifact"))
+    assert(ran.asScala.forall(t => t != Thread.currentThread && !t.isAlive) && ran.size == 2)
+    assert(poolThreads.isEmpty)
+  }
+
+  test("loaded tabs equal the views built over their providers' unloaded fetches") {
+    val clicks = Seq(1L, 2L, 5L, 6L, 7L, 8L, 11L, 105L, 1000L)
+    assert(clicks.map(Interface.explorationContext(ctx, _)("artifact_type")).toSet ==
+      Set("table", "visualization", "dashboard", "workbook"))
+    def rows(df: DataFrame) = (df.schema, df.collect().toSeq)
+    // A graph orders edges by weight alone, so tied edges come in any order.
+    def edges(df: DataFrame) = (df.schema, df.collect().toSeq.map(_.toString).sorted)
+    for (id <- clicks; t <- Interface.exploration(spec, registry, ctx, id)) {
+      val fetched = registry.get(t.provider.endpoint).get.fetch(ctx, t.inputs)
+      val what = s"${t.provider.name} of artifact $id"
+      (t.view, Views.build(t.provider, fetched, spec.effectiveRanking(t.provider))) match {
+        case (a: TilesView, b: TilesView)         => assert(rows(a.data) == rows(b.data), what)
+        case (a: ListView, b: ListView)           => assert(rows(a.data) == rows(b.data), what)
+        case (a: HierarchyView, b: HierarchyView) => assert(rows(a.data) == rows(b.data), what)
+        case (a: GraphView, b: GraphView)         => assert(edges(a.edges) == edges(b.edges), what)
+        case (a: CategoriesView, b: CategoriesView) =>
+          assert(rows(a.rollup) == rows(b.rollup), what)
+          assert(rows(a.members) == rows(b.members), what)
+        case (a, b) => fail(s"$what: ${a.getClass.getSimpleName} against ${b.getClass.getSimpleName}")
+      }
+    }
   }
 
   // ---- team home page (§4.3) -----------------------------------------------
