@@ -110,6 +110,13 @@ final case class CatalogTables(
       .agg(count(lit(1)).as("team_uses"))
       .coalesce(1).cache()
 
+  /** Each input type's values and each artifact's own values, held on the
+    * driver. Built on the first lookup with two Spark queries, so that
+    * autocomplete, value binding and an exploration context are lookups
+    * that start no job (DESIGN.md "Value dictionary").
+    */
+  lazy val valueDictionary: ValueDictionary = ValueDictionary(this)
+
   /** All tables by name, for oracle registration and persistence. */
   def byName: Map[String, DataFrame] = Map(
     "artifacts" -> artifacts, "users" -> users, "teams" -> teams,

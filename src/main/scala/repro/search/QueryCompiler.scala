@@ -124,7 +124,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
           .toRight(s"no search-visible provider with search key '$key'")
         in <- p.inputs.headOption
           .toRight(s"provider '${p.name}' takes no input but got value '$value'")
-        b <- bound(p, Map(in.name -> value))
+        b <- bound(p, Map(in.name -> canonical(in.inputType, value)))
       } yield b
 
     case Query.ProviderCall(name, args) =>
@@ -139,8 +139,15 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
   private def bound(p: MetadataProviderSpec, inputs: Map[String, String]): Either[String, Bound] =
     ProviderBinding.lookup(p, registry).map(Bound(_, inputs, spec.effectiveRanking(p)))
 
+  /** A typed value in the catalog's case: itself if the catalog holds it
+    * for the input's type, else the one value equal to it ignoring case,
+    * else itself (DESIGN.md "Value dictionary").
+    */
+  private def canonical(inputType: String, value: String): String =
+    ctx.catalog.valueDictionary.canonical(inputType, value)
+
   private def bindPositional(p: MetadataProviderSpec, args: Seq[String]): Either[String, Map[String, String]] = {
-    val inputs = p.inputs.map(_.name).zip(args).toMap
+    val inputs = p.inputs.zip(args).map { case (in, a) => in.name -> canonical(in.inputType, a) }.toMap
     val unmet = p.requiredInputs.map(_.name).filterNot(inputs.contains)
     if (args.size > p.inputs.size)
       Left(s"provider '${p.name}' takes at most ${p.inputs.size} arguments, got ${args.size}")

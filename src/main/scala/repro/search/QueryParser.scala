@@ -62,13 +62,20 @@ object QueryParser {
         Left(s"unexpected ${if (next.atEnd) "end of query" else s"'${next.first}'"} at offset ${next.offset}")
     }
 
-    private val key = searchKeys.map(_.trim).filter(_.nonEmpty).sortBy(k => -k.length).map { k =>
+    /** Each spec key, longest first, with the pattern of it and its ':'. */
+    private val keys = searchKeys.map(_.trim).filter(_.nonEmpty).sortBy(k => -k.length).map { k =>
       val words = k.split("\\s+").map(Pattern.quote(_) + """(?![\p{javaLetterOrDigit}_])""")
-      ("(?iu)" + words.mkString("""\p{javaWhitespace}+""") + """\p{javaWhitespace}*:""").r ^^^ k
-    }.foldLeft[Parser[String]](failure("no search keys"))(_ | _)
+      k -> ("(?iu)" + words.mkString("""\p{javaWhitespace}+""") + """\p{javaWhitespace}*:""").r
+    }
+    // All keys as one alternation, longest first, so the guard in `bare` is
+    // one regex match per word rather than one per key.
+    private val anyKey: Parser[String] =
+      if (keys.isEmpty) failure("no search keys")
+      else keys.map { case (_, re) => s"(?:$re)" }.mkString("|").r
+    private val key = anyKey ^^ (typed => keys.collectFirst { case (k, re) if re.matches(typed) => k }.get)
 
     private val quoted = "'[^']*'|\"[^\"]*\"".r ^^ (q => q.substring(1, q.length - 1))
-    private val bare = not(key) ~> """[^\p{javaWhitespace}()&|!:'"]+""".r
+    private val bare = not(anyKey) ~> """[^\p{javaWhitespace}()&|!:'"]+""".r
     private val word = bare.filter(w => !Seq("and", "or", "not").exists(w.equalsIgnoreCase))
     private def op(symbol: String, name: String) = symbol | bare.filter(_.equalsIgnoreCase(name))
 

@@ -1,6 +1,5 @@
 package repro.search
 
-import org.apache.spark.sql.functions._
 import repro.providers.ProviderContext
 import repro.spec.{HumboldtSpec, MetadataProviderSpec, Surface}
 
@@ -52,29 +51,10 @@ final class Suggest(spec: HumboldtSpec, ctx: ProviderContext) {
   }
 
   /** Plausible values for an input type — shared by field-value completion
-    * and exploration input binding.
+    * and exploration input binding: the first 20 in Spark's string order
+    * whose lower case starts with the typed prefix, looked up in the
+    * catalog's value dictionary on the driver. Free text has none.
     */
-  def valuesForType(inputType: String, prefix: String = ""): Seq[String] = {
-    val pre = prefix.trim.toLowerCase
-    def top(df: org.apache.spark.sql.DataFrame, column: String): Seq[String] =
-      df.select(col(column).cast("string").as("v"))
-        .na.drop()
-        .where(if (pre.isEmpty) lit(true) else lower(col("v")).startsWith(pre))
-        .distinct()
-        .orderBy("v")
-        .limit(Limit)
-        .collect()
-        .map(_.getString(0)).toSeq
-
-    inputType match {
-      case "user"          => top(ctx.catalog.users, "user_name")
-      case "team"          => top(ctx.catalog.teams, "team_name")
-      case "badge"         => top(ctx.catalog.badges, "badge")
-      case "artifact_type" => top(ctx.catalog.artifacts, "artifact_type")
-      case "table" =>
-        top(ctx.catalog.artifacts.where(col("artifact_type") === "table"), "name")
-      case "artifact"      => top(ctx.catalog.artifacts, "name")
-      case _               => Seq.empty // free text — nothing to recommend
-    }
-  }
+  def valuesForType(inputType: String, prefix: String = ""): Seq[String] =
+    ctx.catalog.valueDictionary.complete(inputType, prefix, Limit)
 }

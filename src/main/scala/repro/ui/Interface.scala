@@ -4,7 +4,6 @@ import java.util.concurrent.{Callable, ExecutionException, Executors}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.providers.{ProviderBinding, ProviderContext, Registry}
 import repro.search.{QueryCompiler, Suggest}
 import repro.spec._
@@ -62,40 +61,11 @@ object Interface {
   /** The metadata values of one selected artifact, keyed by input *type* —
     * what exploration uses to bind provider inputs (§5.2: "Whenever a user
     * interacts with a data element, the metadata of this element can be
-    * used to inform and surface more metadata providers"). One Spark query:
-    * the artifact's row joined once to every name it refers to.
+    * used to inform and surface more metadata providers"). A lookup in the
+    * catalog's value dictionary: it starts no Spark job.
     */
-  def explorationContext(ctx: ProviderContext, artifactId: Long): Map[String, String] = {
-    val cat = ctx.catalog
-    // (kind, id, value) rows; the kinds are the context's input types.
-    def names(kind: String, df: DataFrame, id: String, value: String): DataFrame =
-      df.select(lit(kind) as "kind", col(id) as "id", col(value) as "value")
-    val named = names("user", cat.users, "user_id", "user_name")
-      .unionByName(names("team", cat.teams, "team_id", "team_name"))
-      .unionByName(names("badge", cat.badges.where(col("artifact_id") === artifactId),
-        "artifact_id", "badge"))
-    val refersTo = Seq("user" -> "owner_id", "team" -> "team_id", "badge" -> "artifact_id")
-      .map { case (kind, ref) => col("kind") === kind && col("id") === col(ref) }
-      .reduce(_ || _)
-    val a = cat.artifacts.where(col("artifact_id") === artifactId)
-      .join(named, refersTo, "left")
-      .select("name", "artifact_type", "kind", "value")
-      .collect()
-    if (a.isEmpty) return Map.empty
-    val row = a(0)
-    // Of several badges the smallest name binds, so the choice is stable.
-    val values = a.filter(!_.isNullAt(3))
-      .groupMapReduce(_.getString(2))(_.getString(3))(Ordering[String].min)
-
-    Map(
-      "artifact" -> artifactId.toString,
-      "artifact_type" -> row.getAs[String]("artifact_type"),
-    ) ++
-      values ++
-      (if (row.getAs[String]("artifact_type") == "table")
-         Some("table" -> row.getAs[String]("name"))
-       else None)
-  }
+  def explorationContext(ctx: ProviderContext, artifactId: Long): Map[String, String] =
+    ctx.catalog.valueDictionary.context(artifactId)
 
   /** Exploration tabs for a selected artifact (§5.2, §6.3): every
     * exploration-visible provider whose required inputs can all be bound

@@ -173,6 +173,26 @@ class QueryCompilerSpec extends SparkSpec {
     assert(idSet("type: table owned by: 'John Doe' badged: endorsed").isEmpty)
   }
 
+  test("a typed value binds in the catalog's case, in pill and prefix syntax") {
+    val alex = idSet("owned by: 'Alex'")
+    assert(alex.nonEmpty)
+    Seq("owned by: 'alex'", "owned by: ALEX", ":owned_by(aLeX)").foreach(q => assert(idSet(q) == alex, q))
+    assert(idSet("type: TABLE badged: Endorsed badged by: 'MIKE'") ==
+      idSet("type: table badged: endorsed badged by: 'Mike'"))
+  }
+
+  test("an ambiguous or unknown typed value binds as typed") {
+    import spark.implicits._
+    val withAlexUpper = cat.copy(users = cat.users.unionByName(
+      Seq((9004L, "ALEX", 1L)).toDF("user_id", "user_name", "team_id")))
+    val c = new QueryCompiler(UseCaseSpec.default, Registry.standard, ctx.copy(catalog = withAlexUpper))
+    def found(q: String) = c.search(q).fold(e => fail(s"'$q' failed: $e"), identity).count()
+    // `alex` is equal ignoring case to both Alex and ALEX, so it names no user.
+    assert(found("owned by: 'alex'") == 0)
+    assert(found("owned by: 'Alex'") == idSet("owned by: 'Alex'").size)
+    assert(idSet("owned by: 'nobody'").isEmpty)
+  }
+
   test("parse errors surface as Left") {
     assert(compiler.search("type:").isLeft)
   }
