@@ -1,6 +1,7 @@
 package repro
 
 import java.sql.DriverManager
+import java.util.Locale
 import org.apache.spark.sql.{DataFrame, Row}
 import scala.jdk.CollectionConverters._
 
@@ -62,7 +63,7 @@ object Oracle {
         .toSeq
       val sCols = sparkDf.columns.toSeq
       require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+        dCols.map(_.toLowerCase(Locale.ROOT)).toSet == sCols.map(_.toLowerCase(Locale.ROOT)).toSet,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
       val got = canon(sparkDf.collect().toSeq, sCols)

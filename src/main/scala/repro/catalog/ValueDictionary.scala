@@ -1,40 +1,31 @@
 package repro.catalog
 
 import java.util.Locale
-import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** The catalog's values on the driver: for each input type the values it
-  * admits, and for each artifact its own values. Autocomplete ("suggestions
-  * for admissible prefixes and values as the user types", paper §6.4),
-  * value binding and an exploration click's context ("the metadata of this
-  * element", §5.2) are lookups here and start no Spark job. Built once per
-  * catalog by [[CatalogTables.valueDictionary]] (DESIGN.md "Value
-  * dictionary").
+/** The catalog's bindable values on the driver: for each input type the
+  * values it admits, and for each artifact its own values. Autocomplete
+  * ("suggestions for admissible prefixes and values as the user types",
+  * paper §6.4), value binding and an exploration click's context ("the
+  * metadata of this element", §5.2) are lookups here and start no Spark
+  * job. Built once per catalog by [[CatalogTables.valueDictionary]]
+  * (DESIGN.md "Value dictionary").
   *
-  * Only the lists hold strings: an artifact row holds each of its values
-  * as a position in the list of that value's type (-1 for none), and a
-  * table's name in the `table` list is the string of the `artifact` list.
+  * An `artifact` input is an id, bound from a selection, so it has no
+  * values here: like free text, it completes to nothing and binds as typed.
+  * Each value an artifact row holds is the string of its type's list.
   *
-  * @param lists  each input type's distinct non-null values; none for any
-  *               other type
-  * @param ids    artifact ids, ascending; the arrays after it are columns
-  *               in the same order
-  * @param names  the name, in the `artifact` list
-  * @param types  the type, in the `artifact_type` list
-  * @param owners the owner's user name, in the `user` list
-  * @param teams  the team's name, in the `team` list
-  * @param badges the smallest badge name in Spark's order, in the `badge` list
+  * @param lists   each input type's distinct non-null values; none for any
+  *                other type
+  * @param ids     artifact ids, ascending
+  * @param columns for each input type an artifact binds besides its id, the
+  *                value of each artifact in `ids` order (null for none)
   */
 final class ValueDictionary private (
     lists: Map[String, ValueDictionary.Values],
     ids: Array[Long],
-    names: Array[Int],
-    types: Array[Int],
-    owners: Array[Int],
-    teams: Array[Int],
-    badges: Array[Int],
+    columns: Seq[(String, Array[String])],
 ) {
   import ValueDictionary.lower
 
@@ -58,32 +49,31 @@ final class ValueDictionary private (
     */
   def context(artifactId: Long): Map[String, String] = {
     val i = java.util.Arrays.binarySearch(ids, artifactId)
-    if (i < 0) return Map.empty
-    val tpe = lists("artifact_type").at(types(i))
-    Map("artifact" -> artifactId.toString, "artifact_type" -> tpe) ++
-      Seq("user" -> owners, "team" -> teams, "badge" -> badges)
-        .flatMap { case (kind, column) => Option(lists(kind).at(column(i))).map(kind -> _) } ++
-      (if (tpe == "table") Some("table" -> lists("artifact").at(names(i))) else None)
+    if (i < 0) Map.empty
+    else Map("artifact" -> artifactId.toString) ++
+      columns.flatMap { case (kind, values) => Option(values(i)).map(kind -> _) }
   }
 }
 
 object ValueDictionary {
   private def lower(s: String): String = s.toLowerCase(Locale.ROOT)
 
+  /** The input types an artifact row binds besides its id, in the column
+    * order of [[artifactRows]] after `artifact_id`.
+    */
+  private val RowKinds = Seq("artifact_type", "user", "team", "badge", "table")
+
   /** One input type's values in Spark's string order (`sorted`), and their
     * positions ordered by the values' lower case (`byLower`). Values with a
     * given lower-case prefix are one run of `byLower`, found by two binary
     * searches.
     */
-  private final class Values(sorted: Array[String]) {
+  private final class Values(val sorted: Array[String]) {
     private val byLower: Array[Int] = {
       val keys = sorted.map(lower)
       sorted.indices.sortBy(keys(_)).toArray
     }
     private def key(i: Int): String = lower(sorted(byLower(i)))
-
-    /** The value at position `i` in Spark's order, or null for -1. */
-    def at(i: Int): String = if (i < 0) null else sorted(i)
 
     /** The first index from `from` at which `holds` is false; `holds` is
       * true on a prefix of the keys from `from` on.
@@ -125,24 +115,19 @@ object ValueDictionary {
 
   /** Built from two Spark queries: each input type's distinct values
     * ordered by Spark, and the artifact rows with their owner's and team's
-    * names and their smallest badge.
+    * names, their smallest badge and a table's name.
     */
   def apply(cat: CatalogTables): ValueDictionary = {
-    // One string for a table's name in the `table` and `artifact` lists.
-    val shared = mutable.HashMap.empty[String, String]
-    def intern(s: String): String = shared.getOrElseUpdate(s, s)
-
     val lists = valueRows(cat).collect().groupBy(_.getString(0))
-      .map { case (kind, rows) => kind -> rows.map(r => intern(r.getString(1))) }.withDefaultValue(Array.empty)
+      .map { case (kind, rows) => kind -> new Values(rows.map(_.getString(1))) }
+      .withDefaultValue(new Values(Array.empty))
     val rows = artifactRows(cat).collect()
-    // Column `i` of the rows as positions in the list of `kind`.
-    def column(i: Int, kind: String): Array[Int] = {
-      val position = lists(kind).zipWithIndex.toMap.withDefaultValue(-1)
-      rows.map(r => position(r.getString(i)))
+    val columns = RowKinds.zipWithIndex.map { case (kind, j) =>
+      // The list's string for each row's value, so each value is held once.
+      val same = lists(kind).sorted.map(v => v -> v).toMap
+      kind -> rows.map(r => same.getOrElse(r.getString(j + 1), null))
     }
-    new ValueDictionary(lists.map { case (t, vs) => t -> new Values(vs) }.withDefaultValue(new Values(Array.empty)),
-      rows.map(_.getLong(0)),
-      column(1, "artifact"), column(2, "artifact_type"), column(3, "user"), column(4, "team"), column(5, "badge"))
+    new ValueDictionary(lists, rows.map(_.getLong(0)), columns)
   }
 
   /** `(kind, v)`: each input type's distinct non-null values, ordered by
@@ -155,16 +140,15 @@ object ValueDictionary {
       "badge" -> cat.badges.select("badge"),
       "artifact_type" -> cat.artifacts.select("artifact_type"),
       "table" -> cat.artifacts.where(col("artifact_type") === "table").select("name"),
-      "artifact" -> cat.artifacts.select("name"),
     ).map { case (kind, df) => df.select(lit(kind).as("kind"), col(df.columns.head).cast("string").as("v")) }
       .reduce(_ unionByName _)
       .where(col("v").isNotNull)
       .distinct()
       .orderBy("kind", "v")
 
-  /** `(artifact_id, name, artifact_type, user, team, badge)` by id. Of
-    * several names for one user or team id, or several badges, the smallest
-    * binds, so the choice is stable.
+  /** `artifact_id` and the [[RowKinds]] columns by id. Of several names for
+    * one user or team id, or several badges, the smallest binds, so the
+    * choice is stable; `table` is the name of a table and null otherwise.
     */
   private def artifactRows(cat: CatalogTables): DataFrame = {
     def smallest(df: DataFrame, id: String, value: String, as: String): DataFrame =
@@ -173,7 +157,8 @@ object ValueDictionary {
       .join(smallest(cat.users, "user_id", "user_name", "user"), col("owner_id") === col("user_key"), "left")
       .join(smallest(cat.teams, "team_id", "team_name", "team"), col("team_id") === col("team_key"), "left")
       .join(smallest(cat.badges, "artifact_id", "badge", "badge"), col("artifact_id") === col("badge_key"), "left")
-      .select("artifact_id", "name", "artifact_type", "user", "team", "badge")
+      .withColumn("table", when(col("artifact_type") === "table", col("name")))
+      .select(("artifact_id" +: RowKinds).map(col): _*)
       .orderBy("artifact_id")
   }
 }

@@ -1,5 +1,6 @@
 package repro.providers
 
+import java.util.Locale
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.catalog.CatalogTables
@@ -104,7 +105,7 @@ object Contracts {
 
   /** Columns of `df` missing from the contract of `rep` (empty = valid). */
   def missing(rep: Representation, df: DataFrame): Set[String] =
-    requiredColumns(rep) -- df.columns.map(_.toLowerCase).toSet
+    requiredColumns(rep) -- df.columns.map(_.toLowerCase(Locale.ROOT)).toSet
 
   def validate(rep: Representation, df: DataFrame): Unit = {
     val m = missing(rep, df)

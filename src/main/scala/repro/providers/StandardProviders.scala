@@ -1,5 +1,6 @@
 package repro.providers
 
+import java.util.Locale
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.catalog.CatalogTables
@@ -163,7 +164,7 @@ object StandardProviders {
     val representation: Representation = Graph
     override val needs: Set[String] = Set("table")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
-      val table = need(inputs, "table").toLowerCase
+      val table = need(inputs, "table").toLowerCase(Locale.ROOT)
       val edges = ctx.joinEdgesById.getOrElse(
         throw new IllegalStateException(
           "joinable provider needs extracted join edges in ProviderContext"))
@@ -193,7 +194,7 @@ object StandardProviders {
     val representation: Representation = ListRep
     override val needs: Set[String] = Set("q")
     def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
-      val q = need(inputs, "q").toLowerCase
+      val q = need(inputs, "q").toLowerCase(Locale.ROOT)
       base(ctx).where(
         lower(col("name")).contains(q) || lower(col("description")).contains(q))
     }

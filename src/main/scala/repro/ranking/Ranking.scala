@@ -1,5 +1,6 @@
 package repro.ranking
 
+import java.util.Locale
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.spec.RankingWeight
@@ -22,9 +23,9 @@ object Ranking {
     * metadata fields (the paper's global-fallback semantics).
     */
   def scoreExpr(weights: Seq[RankingWeight], df: DataFrame): Column = {
-    val present = df.columns.map(_.toLowerCase).toSet
+    val present = df.columns.map(_.toLowerCase(Locale.ROOT)).toSet
     val terms = weights.collect {
-      case RankingWeight(field, w) if present.contains(field.toLowerCase) =>
+      case RankingWeight(field, w) if present.contains(field.toLowerCase(Locale.ROOT)) =>
         coalesce(col(field).cast("double"), lit(0.0)) * w
     }
     if (terms.isEmpty) lit(0.0) else terms.reduce(_ + _)

@@ -1,5 +1,6 @@
 package repro.search
 
+import java.util.Locale
 import java.util.regex.Pattern
 import scala.util.parsing.combinator.RegexParsers
 import repro.spec.{HumboldtSpec, Surface}
@@ -39,7 +40,7 @@ object QueryParser {
   /** Provider names normalize to lowercase snake case for prefix calls
     * (`Recent Documents` is callable as `:recent_documents(...)`).
     */
-  def normalize(name: String): String = name.trim.toLowerCase.replaceAll("[\\s-]+", "_")
+  def normalize(name: String): String = name.trim.toLowerCase(Locale.ROOT).replaceAll("[\\s-]+", "_")
 
   /** Build the parser the specification implies: field keys are the
     * search-visible providers' `searchKey`s, callable names are all

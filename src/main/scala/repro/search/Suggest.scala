@@ -1,5 +1,6 @@
 package repro.search
 
+import java.util.Locale
 import repro.providers.ProviderContext
 import repro.spec.{HumboldtSpec, MetadataProviderSpec, Surface}
 
@@ -29,7 +30,7 @@ final class Suggest(spec: HumboldtSpec, ctx: ProviderContext) {
 
   /** Keys completing a typed prefix (`own` -> `owned by:`). */
   def completeKey(prefix: String): Seq[Suggestion] =
-    admissibleKeys.filter(_.completion.toLowerCase.startsWith(prefix.trim.toLowerCase))
+    admissibleKeys.filter(_.completion.toLowerCase(Locale.ROOT).startsWith(prefix.trim.toLowerCase(Locale.ROOT)))
 
   /** Provider names completing `:pre` for the prefix syntax. */
   def completeProviderCall(prefix: String): Seq[Suggestion] = {
@@ -50,10 +51,11 @@ final class Suggest(spec: HumboldtSpec, ctx: ProviderContext) {
     valuesForType(inputType, prefix)
   }
 
-  /** Plausible values for an input type — shared by field-value completion
-    * and exploration input binding: the first 20 in Spark's string order
-    * whose lower case starts with the typed prefix, looked up in the
-    * catalog's value dictionary on the driver. Free text has none.
+  /** Plausible values for an input type, as a field value completes: the
+    * first 20 in Spark's string order whose lower case starts with the
+    * typed prefix, looked up in the catalog's value dictionary on the
+    * driver. Free text and `artifact` (an id, bound from a selection) have
+    * none. Exploration binds from [[repro.ui.Interface.explorationContext]].
     */
   def valuesForType(inputType: String, prefix: String = ""): Seq[String] =
     ctx.catalog.valueDictionary.complete(inputType, prefix, Limit)

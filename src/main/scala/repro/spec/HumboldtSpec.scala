@@ -1,6 +1,7 @@
 package repro.spec
 
 import java.nio.file.{Files, Paths}
+import java.util.Locale
 import scala.collection.immutable.ListMap
 import scala.util.Try
 
@@ -21,7 +22,7 @@ object Representation {
   val all: Seq[Representation] = Seq(Tiles, ListRep, Hierarchy, Graph, Categories, Embedding)
 
   def fromName(n: String): Either[String, Representation] =
-    all.find(_.name == n.trim.toLowerCase)
+    all.find(_.name == n.trim.toLowerCase(Locale.ROOT))
       .toRight(s"unknown representation '$n' (expected one of ${all.map(_.name).mkString(", ")})")
 }
 
@@ -38,7 +39,7 @@ object Surface {
   val all: Seq[Surface] = Seq(Overview, Exploration, Search)
 
   def fromName(n: String): Either[String, Surface] =
-    all.find(_.name == n.trim.toLowerCase)
+    all.find(_.name == n.trim.toLowerCase(Locale.ROOT))
       .toRight(s"unknown surface '$n' (expected one of ${all.map(_.name).mkString(", ")})")
 }
 
@@ -49,7 +50,9 @@ object Surface {
   * @param name      parameter name, also the key in exploration context
   * @param inputType semantic type used for input recommendation (paper §5.3);
   *                  one of "artifact", "table", "user", "team", "badge",
-  *                  "artifact_type", "text"
+  *                  "artifact_type", "text". An "artifact" value is an
+  *                  artifact id, bound from a selection; a "table" value
+  *                  is a table's name
   * @param required  if true, the provider is only queryable once a value for
   *                  this input is available (from the user or a selected
   *                  artifact's metadata)
@@ -120,8 +123,8 @@ final case class HumboldtSpec(
   /** Structural validation: every error found, not just the first.
     *
     * Endpoint *resolution* is checked separately against the provider
-    * registry (providers.Registry.validate) — the spec layer stays decoupled
-    * from implementations, per the paper's design.
+    * registry (providers.ProviderBinding.validate) — the spec layer stays
+    * decoupled from implementations, per the paper's design.
     */
   def validate: Seq[String] = {
     val dupNames = providers.groupBy(_.name).collect { case (n, ps) if ps.size > 1 => n }

@@ -117,8 +117,7 @@ object Interface {
   /** The view with each frame a screen reads collected once and replaced
     * by a local relation over the rows, so a later `limit(n).collect()` is
     * answered on the driver (Catalyst's `ConvertToLocalRelation`) and
-    * starts no Spark job. A graph's `nodes` stay lazy: no page reads them.
-    * Overview and team home tabs are not loaded: they span the catalog
+    * starts no Spark job. Overview and team home tabs are not loaded: they span the catalog
     * (Popular is every artifact, 10^5 rows at SF 1.0).
     */
   private def load(spark: SparkSession, view: ViewModel): ViewModel = {

@@ -54,11 +54,12 @@ final case class HierarchyView(provider: MetadataProviderSpec, data: DataFrame) 
 }
 
 /** Node-link view: "expects the metadata to contain information about how
-  * [artifacts] are connected" — nodes + weighted edges.
+  * [artifacts] are connected" — weighted edges, and the nodes they connect.
   */
-final case class GraphView(provider: MetadataProviderSpec,
-                           nodes: DataFrame, edges: DataFrame) extends ViewModel {
-  def artifactIds: DataFrame = nodes.select(col("artifact_id").cast("long")).distinct()
+final case class GraphView(provider: MetadataProviderSpec, edges: DataFrame) extends ViewModel {
+  /** The artifact ids at either end of an edge. */
+  def nodes: DataFrame = Contracts.artifactIds(Representation.Graph, edges)
+  def artifactIds: DataFrame = nodes
 }
 
 /** Category overview plus ranked members per category. */
@@ -104,8 +105,7 @@ object Views {
         HierarchyView(provider,
           scored.orderBy(col("depth"), col(Ranking.ScoreColumn).desc, col("artifact_id")))
       case Representation.Graph =>
-        GraphView(provider, nodes = Contracts.artifactIds(Representation.Graph, df),
-          edges = df.orderBy(col("weight").desc))
+        GraphView(provider, df.orderBy(col("weight").desc))
       case Representation.Categories =>
         val scored = Ranking.scored(df, weights)
         val rollup = scored.groupBy("category")

@@ -23,7 +23,7 @@ class ValueDictionarySpec extends SparkSpec {
     cat.copy(users = cat.users.unionByName(added))
   }
 
-  private val Kinds = Seq("user", "team", "badge", "artifact_type", "table", "artifact")
+  private val Kinds = Seq("user", "team", "badge", "artifact_type", "table")
 
   /** Each input type's distinct values in DuckDB SQL, as `vals(kind, v)`. */
   private val valsSql =
@@ -32,8 +32,7 @@ class ValueDictionarySpec extends SparkSpec {
       |  SELECT 'team', team_name FROM teams UNION
       |  SELECT 'badge', badge FROM badges UNION
       |  SELECT 'artifact_type', artifact_type FROM artifacts UNION
-      |  SELECT 'table', name FROM artifacts WHERE artifact_type = 'table' UNION
-      |  SELECT 'artifact', name FROM artifacts)
+      |  SELECT 'table', name FROM artifacts WHERE artifact_type = 'table')
       |""".stripMargin
 
   private def tables(c: CatalogTables): Seq[(String, DataFrame)] =
@@ -110,14 +109,26 @@ class ValueDictionarySpec extends SparkSpec {
       val v = values(rnd.nextInt(values.size))
       k -> mixedCase(v.take(1 + rnd.nextInt(math.min(4, v.length))))
     }
-    val fixed = Seq("user" -> "", "user" -> "'", "user" -> "  jO ", "artifact" -> "'",
-      "artifact" -> " air", "table" -> "Sales_", "artifact" -> "zzz", "badge" -> "E")
+    val fixed = Seq("user" -> "", "user" -> "'", "user" -> "  jO ", "table" -> "Sales_", "badge" -> "E")
     assertPrefixesMatch(cat, drawn ++ fixed)
   }
 
   test("oracle: prefixes of names outside ASCII match DuckDB") {
     assertPrefixesMatch(extra, Seq("émi", "ÉMILE Z", " émile ", "ﬁ", "😀", "a", "ALE", "zoë")
       .map("user" -> _))
+  }
+
+  test("every value an exploration click binds is a value autocomplete offers; an artifact id lists none") {
+    val d = cat.valueDictionary
+    val ids = cat.artifacts.select("artifact_id").collect().map(_.getLong(0)).toSeq
+    val unoffered = for {
+      id <- ids
+      (kind, v) <- Interface.explorationContext(ctx, id) if kind != "artifact"
+      if !d.complete(kind, v, Int.MaxValue).contains(v)
+    } yield (id, kind, v)
+    assert(ids.nonEmpty && unoffered.isEmpty, unoffered.take(5))
+    val suggest = new Suggest(UseCaseSpec.default, ctx)
+    for (prefix <- Seq("", "1", "air")) assert(suggest.valuesForType("artifact", prefix).isEmpty, prefix)
   }
 
   test("a typed value binds as itself, else the one value equal ignoring case, else as typed") {
