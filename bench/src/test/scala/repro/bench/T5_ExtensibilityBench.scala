@@ -2,9 +2,9 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.apache.spark.sql.functions._
-import repro.providers.{Provider, ProviderContext, Registry}
+import repro.providers.{Provider, ProviderContext, Registry, SqlProvider}
 import repro.spec._
-import repro.ui.{Config, Interface}
+import repro.ui.{Config, GeneratedTab, Interface, ListView}
 
 /** T5 -- extensibility: "adding a few lines of specification instead of
   * changing the UI implementation" (paper §1, §4.4).
@@ -33,6 +33,11 @@ class T5_ExtensibilityBench extends AnyFunSuite {
         .orderBy(col("usage_distance"), col("artifact_id"))
     }
   }
+
+  /** The same provider as one query over the provider context's relations. */
+  private val SimilarUsageSql = SqlProvider("similar_usage", Representation.ListRep,
+    """SELECT *, abs(views - (SELECT views FROM {base} WHERE artifact_id = :artifact)) AS usage_distance
+      |FROM {base} ORDER BY usage_distance, artifact_id""".stripMargin)
 
   test("T5: extensibility table -- spec lines vs code changed") {
     val ctx = ctx01
@@ -73,12 +78,19 @@ class T5_ExtensibilityBench extends AnyFunSuite {
     assert(after.tabs.map(_.provider.name) == before.tabs.map(_.provider.name))
     assert(before.searchKeys.toSet.subsetOf(after.searchKeys.toSet))
 
+    // 5. The SQL form registers in place of the Scala one and gives the
+    // exploration tab the same rows.
+    val sqlTab = Interface.exploration(extSpec, Registry.standard.register(SimilarUsageSql), ctx, 1L)
+      .find(_.provider.name == "Similar Usage")
+    def rows(t: Option[GeneratedTab]): Seq[String] =
+      t.get.view.asInstanceOf[ListView].data.collect().map(_.toString).toSeq.sorted
+    assert(rows(sqlTab) == rows(tab), "the SQL form's tab differs from the Scala form's")
+
     banner("T5 -- Extensibility: adding the 'Similar Usage' provider")
-    println(f"${"what changed"}%-42s${"amount"}%s")
-    println(f"${"spec lines added (JSON)"}%-42s$specLinesAdded%d")
-    println(f"${"provider implementations registered"}%-42s${1}%d")
-    println(f"${"UI/view/search/ranking code changed"}%-42s${0}%d lines")
-    println(f"${"surfaces picking it up automatically"}%-42s${"exploration, search, autocomplete"}%s")
+    println(f"${"form"}%-16s${"spec lines added"}%-18s${"registered"}%-12s${"UI/view/search/ranking code changed"}%s")
+    println(f"${"Scala Provider"}%-16s$specLinesAdded%-18d${"1 object"}%-12s${0}%d lines")
+    println(f"${"SqlProvider"}%-16s$specLinesAdded%-18d${"1 query"}%-12s${0}%d lines")
+    println("surfaces picking it up automatically: exploration, search, autocomplete")
     println("paper claim: 'a few lines of Humboldt specification' (sec. 1) -- " +
       s"measured: $specLinesAdded spec lines, 0 UI code changes")
 

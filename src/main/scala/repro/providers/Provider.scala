@@ -1,8 +1,12 @@
 package repro.providers
 
 import java.util.Locale
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, ProviderPlans, SparkSession}
+import org.apache.spark.sql.catalyst.analysis.{NamedParameter, UnresolvedRelation}
+import org.apache.spark.sql.catalyst.expressions.Literal
+import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StringType
 import repro.catalog.CatalogTables
 import repro.spec.{MetadataProviderSpec, Representation}
 
@@ -47,6 +51,24 @@ final case class ProviderContext(
         col("src_table"), col("src_column"), col("dst_table"), col("dst_column"))
       .coalesce(1).cache()
   }
+
+  /** The relation that a provider query's `{name}` placeholder reads:
+    * `base` (the enriched artifacts), `users`, `teams`, `badges`,
+    * `team_usage` ([[CatalogTables.teamUsage]]), `join_edges`
+    * ([[joinEdgesById]]) or `coordinates`. One the context lacks (edges or
+    * coordinates not extracted) is an `IllegalStateException` naming it.
+    */
+  def relation(name: String): DataFrame = (name match {
+    case "base"        => Some(enrichedArtifacts)
+    case "users"       => Some(catalog.users)
+    case "teams"       => Some(catalog.teams)
+    case "badges"      => Some(catalog.badges)
+    case "team_usage"  => Some(catalog.teamUsage)
+    case "join_edges"  => joinEdgesById
+    case "coordinates" => coordinates
+    case _             => None
+  }).getOrElse(throw new IllegalStateException(
+    s"a provider query reads {$name}, but this ProviderContext has no ${name.replace('_', ' ')}"))
 }
 
 /** Raised when a provider is invoked without a declared required input
@@ -59,7 +81,7 @@ final case class MissingInputException(endpoint: String, input: String)
 /** A metadata provider implementation.
   *
   * The Humboldt spec references implementations by [[endpoint]]; *how* data
-  * is fetched (here: DataFrame transformations over the catalog) is opaque
+  * is fetched (here: SQL or DataFrame programs over the catalog) is opaque
   * to the spec and the generated UI (paper §4.1). The [[representation]] is
   * the shape contract the returned DataFrame must satisfy — checked by
   * [[Contracts.validate]] in tests and at view-construction time.
@@ -88,6 +110,36 @@ trait Provider {
     inputs.getOrElse(key, throw MissingInputException(endpoint, key))
 }
 
+/** A provider that is one Spark SQL query (DESIGN.md "Provider queries").
+  * The query reads relations as `{base}` ([[ProviderContext.relation]]) and
+  * each input as a named parameter (`:user`). It is parsed once; a fetch
+  * puts the context's relations in place of the placeholders and binds each
+  * parameter as a literal in the plan, so no input is ever parsed as SQL.
+  * A missing `optional` input binds as NULL; the other parameters are the
+  * provider's [[needs]].
+  */
+final case class SqlProvider(endpoint: String, representation: Representation, query: String,
+                             optional: Set[String] = Set.empty) extends Provider {
+  private lazy val plan = CatalystSqlParser.parsePlan("""\{(\w+)\}""".r.replaceAllIn(query, "$1"))
+
+  /** The query's named parameters, as Spark's parser finds them, but the optional ones. */
+  override lazy val needs: Set[String] =
+    plan.collectWithSubqueries { case p => p.expressions.flatMap(_.collect { case NamedParameter(n) => n }) }
+      .flatten.toSet -- optional
+
+  // Not SparkSession's `sql` with arguments: Spark 4.1 writes the values into
+  // the text and parses it again on every call, which cost 4-6 % of a search
+  // or a click end to end (BENCH_sql_providers.json).
+  def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
+    needs.toSeq.sorted.foreach(need(inputs, _))
+    ProviderPlans.dataFrame(ctx.spark, plan.transformWithSubqueries {
+      case r: UnresolvedRelation => ctx.relation(r.name).queryExecution.analyzed
+    }.transformAllExpressionsWithSubqueries {
+      case NamedParameter(n) => Literal.create(inputs.get(n).orNull, StringType)
+    })
+  }
+}
+
 /** Shape contracts per representation: which columns a provider's output
   * must contain for the corresponding view to be constructible.
   */
@@ -103,12 +155,9 @@ object Contracts {
     case Embedding       => Set("artifact_id", "name", "x", "y")
   }
 
-  /** Columns of `df` missing from the contract of `rep` (empty = valid). */
-  def missing(rep: Representation, df: DataFrame): Set[String] =
-    requiredColumns(rep) -- df.columns.map(_.toLowerCase(Locale.ROOT)).toSet
-
+  /** Throws unless `df` has every column of the contract of `rep`. */
   def validate(rep: Representation, df: DataFrame): Unit = {
-    val m = missing(rep, df)
+    val m = requiredColumns(rep) -- df.columns.map(_.toLowerCase(Locale.ROOT))
     require(m.isEmpty,
       s"provider output violates '${rep.name}' contract: missing columns ${m.toSeq.sorted.mkString(", ")}")
   }
@@ -141,9 +190,10 @@ object ProviderBinding {
             s"'${p.representation.name}' but endpoint '${p.endpoint}' produces " +
             s"'${impl.representation.name}'")
         case Some(impl) =>
-          (impl.needs -- p.inputs.map(_.name)).toSeq.sorted.map(n =>
-            s"provider '${p.name}': endpoint '${p.endpoint}' needs input '$n', " +
-              "which the spec entry does not declare")
+          (impl.needs -- p.requiredInputs.map(_.name)).toSeq.sorted.map { n =>
+            val how = if (p.inputs.exists(_.name == n)) "declares optional" else "does not declare"
+            s"provider '${p.name}': endpoint '${p.endpoint}' needs input '$n', which the spec entry $how"
+          }
       }
     }
     structural ++ binding

@@ -96,6 +96,9 @@ final case class MetadataProviderSpec(
   /** Inputs that must be bound before the provider can fetch. */
   def requiredInputs: Seq[InputSpec] = inputs.filter(_.required)
 
+  /** Whether a team home page, which binds only the team, can show this provider. */
+  def teamBindable: Boolean = requiredInputs.forall(_.inputType == "team")
+
   def visibleOn(surface: Surface): Boolean = visibility.contains(surface)
 }
 
@@ -151,8 +154,17 @@ final case class HumboldtSpec(
     // references are errors because the UI would render an empty section.
     customProviderRefs.filterNot(r => providers.exists(_.name == r))
       .foreach(r => errs += s"custom content references unknown provider '$r'")
+    for ((team, names) <- teamHomePages; p <- names.flatMap(provider) if !p.teamBindable)
+      errs += s"home page of '$team' lists provider '${p.name}', " +
+        "which has a required input that is not of type 'team'"
     errs.result()
   }
+
+  /** The `team_home_pages` custom content (Listing 2): each team with its page's providers. */
+  def teamHomePages: Seq[(String, Seq[String])] = for {
+    page <- custom.get("team_home_pages").flatMap(_.arr).getOrElse(Vector.empty)
+    team <- page("team").flatMap(_.str)
+  } yield team -> page("providers").flatMap(_.arr).getOrElse(Vector.empty).flatMap(_.str)
 
   /** Provider names referenced anywhere inside the custom content under a
     * `"provider"` or `"providers"` key, recursively.

@@ -113,7 +113,7 @@ final class StudyHarness(spec: HumboldtSpec, registry: Registry, ctx: ProviderCo
     */
   def task4(agent: AgentProfile): TaskResult = {
     val assists = if (agent.findsConfig) 0 else 1 // §7.2: help finding the setting
-    val choices = spec.providers.filter(_.requiredInputs.forall(_.inputType == "team"))
+    val choices = spec.providers.filter(_.teamBindable)
     val prefs = Seq(
       choices(agent.id % choices.size).name,
       choices((agent.id + 2) % choices.size).name,

@@ -53,13 +53,14 @@ object Config {
       custom = ListMap(cleaned.toSeq: _*))
   }
 
-  /** Set a team's home page providers (Task 4 of the study; Listing 2).
-    * Unknown provider names are rejected so the page can always render.
+  /** Set a team's home page providers (Task 4 of the study; Listing 2). Unknown
+    * names and providers that need a non-team input are rejected so the page renders.
     */
   def setTeamHomePage(spec: HumboldtSpec, team: String,
                       providerNames: Seq[String]): HumboldtSpec = {
-    val unknown = providerNames.filterNot(n => spec.provider(n).isDefined)
-    require(unknown.isEmpty, s"unknown providers for home page: ${unknown.mkString(", ")}")
+    val unfit = providerNames.filterNot(n => spec.provider(n).exists(_.teamBindable))
+    require(unfit.isEmpty, s"unknown providers, or ones needing a non-team input, " +
+      s"for home page: ${unfit.mkString(", ")}")
     val entry = Json.obj(
       "team" -> Json.str(team),
       "providers" -> Json.JArray(providerNames.map(Json.str).toVector),
@@ -71,10 +72,7 @@ object Config {
 
   /** The providers currently on a team's home page, in order. */
   def teamHomePage(spec: HumboldtSpec, team: String): Seq[String] =
-    spec.custom.get("team_home_pages").flatMap(_.arr).getOrElse(Vector.empty)
-      .find(_.apply("team").flatMap(_.str).contains(team))
-      .flatMap(_.apply("providers")).flatMap(_.arr)
-      .getOrElse(Vector.empty).flatMap(_.str)
+    spec.teamHomePages.find(_._1 == team).fold(Seq.empty[String])(_._2)
 
   private def mapProvider(spec: HumboldtSpec, name: String)(
       f: MetadataProviderSpec => MetadataProviderSpec): HumboldtSpec =

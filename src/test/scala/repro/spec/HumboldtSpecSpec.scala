@@ -105,6 +105,16 @@ class HumboldtSpecSpec extends AnyFunSuite {
         "providers" -> Json.arr(Json.str("A"))))))
     assert(s.validate.isEmpty)
   }
+  test("a home page entry whose provider needs a non-team input is rejected") {
+    val owned = provider("Owned", inputs = Seq(InputSpec("user", "user", required = true)))
+    val team = provider("Team", inputs = Seq(InputSpec("team", "team", required = true)))
+    val s = HumboldtSpec(Seq(owned, team), custom = ListMap(
+      "team_home_pages" -> Json.arr(Json.obj(
+        "team" -> Json.str("T"),
+        "providers" -> Json.arr(Json.str("Team"), Json.str("Owned"))))))
+    assert(s.validate == Seq("home page of 'T' lists provider 'Owned', " +
+      "which has a required input that is not of type 'team'"))
+  }
   test("customProviderRefs walks nested structures") {
     val s = HumboldtSpec(Seq.empty, custom = ListMap(
       "page" -> Json.obj("sections" -> Json.arr(

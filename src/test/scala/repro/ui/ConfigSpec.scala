@@ -73,6 +73,10 @@ class ConfigSpec extends AnyFunSuite {
       Config.setTeamHomePage(spec, "A Team", Seq("Nope"))
     }
   }
+  test("setTeamHomePage rejects a provider whose required input is not a team") {
+    val e = intercept[IllegalArgumentException](Config.setTeamHomePage(spec, "A Team", Seq("Owned By")))
+    assert(e.getMessage.contains("Owned By"))
+  }
   test("customized spec still validates and round-trips as JSON") {
     val s = Config.setTeamHomePage(
       Config.reorder(Config.hideOn(spec, "Popular", Overview), Seq("Badged")),

@@ -48,6 +48,19 @@ class InterfaceSpec extends SparkSpec {
     assert(e.getMessage.contains("missing_endpoint"))
   }
 
+  test("generation rejects an overview entry that declares a needed input optional") {
+    // Before binding validation checked `required`, this entry passed and
+    // the overview's fetch threw MissingInputException.
+    val optional = spec.copy(providers = spec.providers.map {
+      case p if p.name == "Owned By" =>
+        p.copy(inputs = p.inputs.map(_.copy(required = false)), visibility = Seq(Surface.Overview))
+      case p => p
+    })
+    val e = intercept[IllegalArgumentException](Interface.generate(optional, registry, ctx))
+    assert(e.getMessage.contains("provider 'Owned By': endpoint 'owned_by' needs input 'user', " +
+      "which the spec entry declares optional"))
+  }
+
   // ---- exploration (§5.2, §6.3) --------------------------------------------
 
   test("exploration context extracts the selected artifact's metadata") {
