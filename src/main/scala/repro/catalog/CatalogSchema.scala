@@ -1,6 +1,6 @@
 package repro.catalog
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SqlTemplate}
 import org.apache.spark.sql.functions._
 
 /** Value domains of the metadata catalog.
@@ -77,25 +77,8 @@ final case class CatalogTables(
     * lineage fetch and cached, so a fetch is a filter on `root` rather than
     * a recursion of its own (DESIGN.md "Lineage").
     */
-  lazy val lineageClosure: DataFrame = {
-    // Each catalog registers views of its own: replacing a view uncaches
-    // what was built over the view it replaces.
-    val n = CatalogTables.closures.incrementAndGet()
-    artifacts.createOrReplaceTempView(s"lineage_closure_artifacts_$n")
-    lineage.createOrReplaceTempView(s"lineage_closure_edges_$n")
-    artifacts.sparkSession.sql(
-      s"""WITH RECURSIVE walk(root, artifact_id, parent_id, depth) AS (
-         |  SELECT artifact_id, artifact_id, CAST(NULL AS BIGINT), 0
-         |  FROM lineage_closure_artifacts_$n
-         |  UNION ALL
-         |  SELECT w.root, l.child_id, l.parent_id, w.depth + 1
-         |  FROM lineage_closure_edges_$n l JOIN walk w ON l.parent_id = w.artifact_id
-         |  WHERE w.depth < :maxDepth
-         |)
-         |SELECT root, artifact_id, parent_id, depth FROM walk
-         |""".stripMargin, Map("maxDepth" -> CatalogTables.LineageMaxDepth))
-      .coalesce(1).cache()
-  }
+  lazy val lineageClosure: DataFrame =
+    CatalogTables.Closure.bind(artifacts.sparkSession, byName, Map.empty).coalesce(1).cache()
 
   /** Usage events per team and artifact: `(team_name, artifact_id,
     * team_uses)`, counted over the team's members. Built on the first
@@ -127,5 +110,13 @@ object CatalogTables {
   /** How deep a lineage walk goes below its root. */
   val LineageMaxDepth = 8
 
-  private val closures = new java.util.concurrent.atomic.AtomicLong
+  private val Closure = new SqlTemplate(
+    s"""WITH RECURSIVE walk(root, artifact_id, parent_id, depth) AS (
+      |  SELECT artifact_id, artifact_id, CAST(NULL AS BIGINT), 0 FROM {artifacts}
+      |  UNION ALL
+      |  SELECT w.root, l.child_id, l.parent_id, w.depth + 1
+      |  FROM {lineage} l JOIN walk w ON l.parent_id = w.artifact_id
+      |  WHERE w.depth < $LineageMaxDepth
+      |)
+      |SELECT root, artifact_id, parent_id, depth FROM walk""".stripMargin)
 }

@@ -1,12 +1,8 @@
 package repro.providers
 
 import java.util.Locale
-import org.apache.spark.sql.{DataFrame, ProviderPlans, SparkSession}
-import org.apache.spark.sql.catalyst.analysis.{NamedParameter, UnresolvedRelation}
-import org.apache.spark.sql.catalyst.expressions.Literal
-import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
+import org.apache.spark.sql.{DataFrame, SparkSession, SqlTemplate}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StringType
 import repro.catalog.CatalogTables
 import repro.spec.{MetadataProviderSpec, Representation}
 
@@ -53,20 +49,21 @@ final case class ProviderContext(
   }
 
   /** The relation that a provider query's `{name}` placeholder reads:
-    * `base` (the enriched artifacts), `users`, `teams`, `badges`,
-    * `team_usage` ([[CatalogTables.teamUsage]]), `join_edges`
-    * ([[joinEdgesById]]) or `coordinates`. One the context lacks (edges or
-    * coordinates not extracted) is an `IllegalStateException` naming it.
+    * `base` (the enriched artifacts), `users`, `teams`, `badges`, `team_usage`
+    * and `lineage_closure` ([[CatalogTables]]), `join_edges` ([[joinEdgesById]])
+    * or `coordinates`. One the context lacks (edges or coordinates not
+    * extracted) is an `IllegalStateException` naming it.
     */
   def relation(name: String): DataFrame = (name match {
-    case "base"        => Some(enrichedArtifacts)
-    case "users"       => Some(catalog.users)
-    case "teams"       => Some(catalog.teams)
-    case "badges"      => Some(catalog.badges)
-    case "team_usage"  => Some(catalog.teamUsage)
-    case "join_edges"  => joinEdgesById
-    case "coordinates" => coordinates
-    case _             => None
+    case "base"            => Some(enrichedArtifacts)
+    case "users"           => Some(catalog.users)
+    case "teams"           => Some(catalog.teams)
+    case "badges"          => Some(catalog.badges)
+    case "team_usage"      => Some(catalog.teamUsage)
+    case "lineage_closure" => Some(catalog.lineageClosure)
+    case "join_edges"      => joinEdgesById
+    case "coordinates"     => coordinates
+    case _                 => None
   }).getOrElse(throw new IllegalStateException(
     s"a provider query reads {$name}, but this ProviderContext has no ${name.replace('_', ' ')}"))
 }
@@ -112,31 +109,19 @@ trait Provider {
 
 /** A provider that is one Spark SQL query (DESIGN.md "Provider queries").
   * The query reads relations as `{base}` ([[ProviderContext.relation]]) and
-  * each input as a named parameter (`:user`). It is parsed once; a fetch
-  * puts the context's relations in place of the placeholders and binds each
-  * parameter as a literal in the plan, so no input is ever parsed as SQL.
-  * A missing `optional` input binds as NULL; the other parameters are the
-  * provider's [[needs]].
+  * each input as a named parameter (`:user`); it is parsed once and bound on
+  * every fetch by [[SqlTemplate]]. A missing `optional` input binds as NULL;
+  * the other parameters are the provider's [[needs]].
   */
 final case class SqlProvider(endpoint: String, representation: Representation, query: String,
                              optional: Set[String] = Set.empty) extends Provider {
-  private lazy val plan = CatalystSqlParser.parsePlan("""\{(\w+)\}""".r.replaceAllIn(query, "$1"))
+  private lazy val template = new SqlTemplate(query)
 
-  /** The query's named parameters, as Spark's parser finds them, but the optional ones. */
-  override lazy val needs: Set[String] =
-    plan.collectWithSubqueries { case p => p.expressions.flatMap(_.collect { case NamedParameter(n) => n }) }
-      .flatten.toSet -- optional
+  override lazy val needs: Set[String] = template.parameters -- optional
 
-  // Not SparkSession's `sql` with arguments: Spark 4.1 writes the values into
-  // the text and parses it again on every call, which cost 4-6 % of a search
-  // or a click end to end (BENCH_sql_providers.json).
   def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
     needs.toSeq.sorted.foreach(need(inputs, _))
-    ProviderPlans.dataFrame(ctx.spark, plan.transformWithSubqueries {
-      case r: UnresolvedRelation => ctx.relation(r.name).queryExecution.analyzed
-    }.transformAllExpressionsWithSubqueries {
-      case NamedParameter(n) => Literal.create(inputs.get(n).orNull, StringType)
-    })
+    template.bind(ctx.spark, ctx.relation, inputs)
   }
 }
 

@@ -1,15 +1,11 @@
 package repro.providers
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.catalog.CatalogTables
-import repro.spec.Representation
 import repro.spec.Representation._
 
 /** The standard provider implementations wired into the use case (paper §6.1,
-  * Figure 2): one [[SqlProvider]] query each, but the lineage walk. None
-  * knows anything about views, search, or ranking weights — those are
-  * applied by the layers above, driven by the spec.
+  * Figure 2): one [[SqlProvider]] query each. None knows anything about
+  * views, search, or ranking weights — those are applied by the layers
+  * above, driven by the spec.
   */
 object StandardProviders {
 
@@ -57,23 +53,13 @@ object StandardProviders {
     """SELECT b.*, u.team_uses FROM {base} b JOIN {team_usage} u ON b.artifact_id = u.artifact_id
       |WHERE u.team_name = :team ORDER BY u.team_uses DESC, b.artifact_id""".stripMargin)
 
-  /** Downstream lineage of a selected artifact as a hierarchy (Figure 6):
-    * the selection's rows of the catalog's cached lineage closure
-    * ([[repro.catalog.CatalogTables.lineageClosure]]), one per path, cycles
-    * stopping at `maxDepth`. Scala, so an input that is not an id is
-    * rejected at fetch rather than failing a cast when the rows are read.
-    */
-  object LineageChildren extends Provider {
-    val endpoint = "lineage_children"
-    val representation: Representation = Hierarchy
-    override val needs: Set[String] = Set("artifact")
-    val maxDepth: Int = CatalogTables.LineageMaxDepth
-
-    def fetch(ctx: ProviderContext, inputs: Map[String, String]): DataFrame = {
-      val walk = ctx.catalog.lineageClosure.where(col("root") === need(inputs, "artifact").toLong)
-      ctx.enrichedArtifacts.join(walk.drop("root"), "artifact_id")
-    }
-  }
+  /** Downstream lineage of a selected artifact as a hierarchy (Figure 6): the
+    * selection's rows of the catalog's cached lineage closure, one per path
+    * ([[repro.catalog.CatalogTables.lineageClosure]]). A value that is not
+    * an id reads no rows; the query compiler rejects it before the fetch. */
+  val LineageChildren = SqlProvider("lineage_children", Hierarchy,
+    """SELECT b.*, w.parent_id, w.depth FROM {base} b JOIN {lineage_closure} w ON b.artifact_id = w.artifact_id
+      |WHERE w.root = try_cast(:artifact AS BIGINT)""".stripMargin)
 
   /** Joinability edges incident to a table, in any case (Figure 3); nodes are artifact ids. */
   val Joinable = SqlProvider("joinable", Graph,
@@ -90,7 +76,7 @@ object StandardProviders {
       |WHERE contains(lower(name), lower(:q)) OR contains(lower(description), lower(:q))""".stripMargin)
 
   /** All standard implementations, in registry order. */
-  val all: Seq[Provider] = Seq(
+  val all: Seq[SqlProvider] = Seq(
     Recents, Frequent, OwnedBy, Badged, BadgedBy, OfType, TeamDocs,
     TeamFrequent, LineageChildren, Joinable, EmbeddingView, TextMatch)
 }

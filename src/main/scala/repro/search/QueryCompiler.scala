@@ -136,8 +136,12 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
       } yield b
   }
 
+  /** `p`'s implementation with `inputs`, or why it has none; an `artifact`
+    * input binds only an id (DESIGN.md "Provider queries"). */
   private def bound(p: MetadataProviderSpec, inputs: Map[String, String]): Either[String, Bound] =
-    ProviderBinding.lookup(p, registry).map(Bound(_, inputs, spec.effectiveRanking(p)))
+    p.inputs.find(in => in.inputType == "artifact" && inputs.get(in.name).exists(_.toLongOption.isEmpty))
+      .map(in => s"provider endpoint '${p.endpoint}' takes an artifact id as '${in.name}', got '${inputs(in.name)}'")
+      .toLeft(()).flatMap(_ => ProviderBinding.lookup(p, registry)).map(Bound(_, inputs, spec.effectiveRanking(p)))
 
   /** A typed value in the catalog's case: itself if the catalog holds it
     * for the input's type, else the one value equal to it ignoring case,

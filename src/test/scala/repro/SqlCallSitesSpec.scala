@@ -6,16 +6,15 @@ import scala.jdk.CollectionConverters._
 import scala.util.Using
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Input values meet SQL in one place: `SqlProvider.fetch` binds them as
-  * literals in a query it parsed once, and turns the plan into a DataFrame
-  * through `ProviderPlans`. The only SQL text run as such is the lineage
-  * closure's recursive query, which binds a constant.
+/** Input values meet SQL in one place: `SqlTemplate.bind` binds them as
+  * literals in a query it parsed once and turns the plan into a DataFrame.
+  * No SQL text is run as such, and no temp view is registered.
   */
 class SqlCallSitesSpec extends AnyFunSuite {
 
-  private val allowed = Set("ProviderPlans.dataFrame", "CatalogTables.lineageClosure")
+  private val allowed = Set("SqlTemplate.bind")
 
-  test("main code runs SQL text, registers temp views or wraps plans only in ProviderPlans and the lineage closure") {
+  test("only the SQL binder runs SQL text, registers temp views or wraps plans") {
     val root = Iterator.iterate(new File(".").getAbsoluteFile)(_.getParentFile)
       .takeWhile(_ != null).find(d => new File(d, "build.sbt").isFile)
       .getOrElse(fail("no build.sbt above the working directory"))

@@ -29,8 +29,8 @@ class LineageEdgeCasesSpec extends SparkSpec {
     val ctx = catalogWith(ids, ids.zip(ids.tail))
     val out = StandardProviders.LineageChildren.fetch(ctx, Map("artifact" -> "1"))
     val maxDepth = out.agg(max("depth")).collect()(0).getInt(0)
-    assert(maxDepth == StandardProviders.LineageChildren.maxDepth)
-    assert(out.count() == StandardProviders.LineageChildren.maxDepth + 1)
+    assert(maxDepth == CatalogTables.LineageMaxDepth)
+    assert(out.count() == CatalogTables.LineageMaxDepth + 1)
   }
 
   test("cyclic lineage terminates (the paper's 'arbitrary depths' safely)") {
@@ -38,7 +38,7 @@ class LineageEdgeCasesSpec extends SparkSpec {
     val ctx = catalogWith(Seq(1L, 2L, 3L), Seq((1L, 2L), (2L, 3L), (3L, 1L)))
     val out = StandardProviders.LineageChildren.fetch(ctx, Map("artifact" -> "1"))
     // Bounded result: depth levels 0..maxDepth, one node per level.
-    assert(out.count() == StandardProviders.LineageChildren.maxDepth + 1)
+    assert(out.count() == CatalogTables.LineageMaxDepth + 1)
   }
 
   test("diamond lineage reaches the join node once per path") {

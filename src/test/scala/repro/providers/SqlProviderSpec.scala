@@ -1,7 +1,9 @@
 package repro.providers
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestFixtures}
+import repro.catalog.CatalogTables
 import repro.spec.Representation
 
 /** The SQL providers bind every input as a parameter value. Each fetch
@@ -93,5 +95,56 @@ class SqlProviderSpec extends SparkSpec {
     val p = SqlProvider("x", Representation.ListRep, "SELECT * FROM {nowhere}")
     val e = intercept[IllegalStateException](p.fetch(ctx, Map.empty))
     assert(e.getMessage.contains("nowhere"))
+  }
+
+  test("lineage_children: an 'artifact' value reads root 1's rows or no rows, never query text") {
+    val values = Seq("1", "AIRLINES", "1 OR 1=1", "{base}", "%")
+    val got = values.zipWithIndex.map { case (v, i) =>
+      LineageChildren.fetch(ctx, Map("artifact" -> v))
+        .select(lit(i).as("v"), col("artifact_id").cast("long").as("artifact_id"),
+          col("parent_id").cast("long").as("parent_id"), col("depth"))
+    }.reduce(_ unionByName _)
+    val sql = values.zipWithIndex.map { case (v, i) =>
+      s"""SELECT $i AS v, w.artifact_id, w.parent_id, CAST(w.depth AS INT) AS depth FROM (
+         |  WITH RECURSIVE walk(artifact_id, parent_id, depth) AS (
+         |    SELECT TRY_CAST(${quoted(v)} AS BIGINT), CAST(NULL AS BIGINT), 0
+         |    UNION ALL
+         |    SELECT CAST(l.child_id AS BIGINT), CAST(l.parent_id AS BIGINT), walk.depth + 1
+         |    FROM lineage l JOIN walk ON CAST(l.parent_id AS BIGINT) = walk.artifact_id
+         |    WHERE walk.depth < ${CatalogTables.LineageMaxDepth})
+         |  SELECT * FROM walk) w
+         |JOIN artifacts a ON CAST(a.artifact_id AS BIGINT) = w.artifact_id""".stripMargin
+    }.mkString("\nUNION ALL\n")
+    Oracle.assertEquivalent(got, sql, "artifacts" -> cat.artifacts, "lineage" -> cat.lineage)
+    assert(got.where(col("v") === 0 && col("depth") > 0).count() > 0, "root 1 has no children")
+  }
+
+  test("a query reads placeholders and parameters inside WITH, and a CTE's name is never a relation") {
+    // The CTE is named `base` too: were its name looked up as a placeholder,
+    // the query would read every artifact.
+    val p = SqlProvider("owned_by_with", Representation.ListRep,
+      """WITH base AS (
+        |  SELECT b.* FROM {base} b JOIN {users} u ON b.owner_id = u.user_id WHERE u.user_name = :user)
+        |SELECT * FROM base""".stripMargin)
+    assert(p.needs == Set("user"))
+    for (v <- Seq("Alex", "Alex' OR '1'='1", "{base}")) {
+      val got = p.fetch(ctx, Map("user" -> v))
+      assert(got.columns.toSeq == OwnedBy.fetch(ctx, Map("user" -> v)).columns.toSeq)
+      Oracle.assertEquivalent(got.select(col("artifact_id").cast("long").as("artifact_id")),
+        s"""SELECT CAST(a.artifact_id AS BIGINT) AS artifact_id
+           |FROM artifacts a JOIN users u ON a.owner_id = u.user_id
+           |WHERE u.user_name = ${quoted(v)}""".stripMargin,
+        "artifacts" -> cat.artifacts, "users" -> cat.users)
+    }
+  }
+
+  test("a second catalog's lineage closure leaves the first cached and registers no table") {
+    val first = cat.lineageClosure
+    first.count()
+    val tables = spark.catalog.listTables().collect().map(_.name).toSet
+    val second = cat.copy(artifacts = cat.artifacts.where(col("artifact_id") <= 100))
+    assert(second.lineageClosure.count() < first.count())
+    assert(first.storageLevel != StorageLevel.NONE && second.lineageClosure.storageLevel != StorageLevel.NONE)
+    assert(spark.catalog.listTables().collect().map(_.name).toSet == tables)
   }
 }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{Oracle, PropCheck, SparkSpec, TestFixtures}
 import repro.catalog.CatalogSchema
-import repro.providers.{Provider, ProviderContext, Registry}
+import repro.providers.{Provider, ProviderContext, Registry, StandardProviders}
 import repro.spec._
 
 class QueryCompilerSpec extends SparkSpec {
@@ -244,6 +244,16 @@ class QueryCompilerSpec extends SparkSpec {
     val got = c.search("child of: AIRLINES")
     assert(got.swap.exists(e => e.contains("lineage_children") && e.contains("AIRLINES")), got)
     intercept[IllegalArgumentException](c.run(Query.FieldPred("child of", "AIRLINES")))
+  }
+
+  test("an artifact input binds only an id: a pill or a call with any other value is a Left") {
+    val c = new QueryCompiler(searchableSpec("Lineage", Some("child of")), Registry.standard, ctx)
+    for (q <- Seq("child of: 'x'", "child of: '1 OR 1=1'", ":lineage(x)", ":lineage('{base}')"))
+      assert(c.search(q).swap.exists(_.contains("lineage_children")), q)
+    def idsOf(df: DataFrame) = df.select(col("artifact_id").cast("long")).distinct().collect().toSet
+    val root = idsOf(StandardProviders.LineageChildren.fetch(ctx, Map("artifact" -> "1")))
+    for (q <- Seq("child of: '1'", ":lineage(1)"))
+      assert(c.search(q).map(idsOf) == Right(root), q)
   }
 
   test("a graph or embedding element without extracted edges or coordinates is a Left") {
