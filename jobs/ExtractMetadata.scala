@@ -8,19 +8,21 @@ import repro.extract.{ColumnSketches, Embedding, Joinability}
   * materialized lake + catalog (as written by [[BuildLake]]).
   *
   * {{{
-  * spark-submit --class repro.jobs.ExtractMetadata repro.jar <dir> [minhashK] [threshold]
+  * spark-submit --class repro.jobs.ExtractMetadata repro.jar <dir> [k] [threshold]
   * }}}
   *
   * Reads every dataset directory under `<dir>/lake` and produces
-  * `<dir>/extracted/join_edges` (MinHash joinability graph) and
-  * `<dir>/extracted/coordinates` (2-D artifact embedding). A `<dir>` with
-  * no `lake` directory exits 2.
+  * `<dir>/extracted/join_edges` (joinability graph from Theta sketches that
+  * keep `k` hashes per column) and `<dir>/extracted/coordinates` (2-D
+  * artifact embedding). A `<dir>` with no `lake` directory, or a `k` that
+  * is not a power of two from 16 to 2^26, exits 2.
   */
 object ExtractMetadata {
   def main(args: Array[String]): Unit = {
-    val usage     = "usage: ExtractMetadata <dir> [minhashK] [threshold]"
+    val usage     = "usage: ExtractMetadata <dir> [k] [threshold]"
     val dir       = args.headOption.getOrElse(JobSession.usageExit("missing <dir>", usage))
-    val k         = JobSession.argOrExit(args, 1, 64, usage)(_.toInt)
+    val k         = JobSession.argOrExit(args, 1, ColumnSketches.DefaultK, usage)(a =>
+      1 << ColumnSketches.lgK(a.toInt))
     val threshold = JobSession.argOrExit(args, 2, 0.5, usage)(_.toDouble)
 
     val spark = JobSession("humboldt-extract")

@@ -9,7 +9,7 @@ import org.apache.spark.sql.functions._
 final case class JoinEdge(srcTable: String, srcColumn: String,
                           dstTable: String, dstColumn: String, score: Double)
 
-/** Aurum-style joinability graph built from MinHash column sketches.
+/** Aurum-style joinability graph built from Theta (bottom-k MinHash) column sketches.
   *
   * This substrate plays the role of the paper's relationship metadata
   * provider ("Joinable", Figure 2/3): given the sketches of all columns in
@@ -22,7 +22,7 @@ object Joinability {
   val DefaultThreshold = 0.5
 
   /** All joinability edges above `threshold` between *different* tables.
-    * Sketch lists are tiny (columns × k ints), so the pairwise sweep is
+    * Sketch lists are tiny (columns × k hashes), so the pairwise sweep is
     * driver-side; the expensive part — the scans — happened at sketch time.
     */
   def edges(sketches: Seq[ColumnSketch], threshold: Double = DefaultThreshold): Seq[JoinEdge] = {

@@ -35,10 +35,10 @@ object Ranking {
   def scored(df: DataFrame, weights: Seq[RankingWeight]): DataFrame =
     df.withColumn(ScoreColumn, scoreExpr(weights, df))
 
-  /** Score and order, breaking ties on artifact id for determinism. */
-  def ranked(df: DataFrame, weights: Seq[RankingWeight]): DataFrame = {
-    val s = scored(df, weights)
-    if (s.columns.contains("artifact_id")) s.orderBy(col(ScoreColumn).desc, col("artifact_id"))
-    else s.orderBy(col(ScoreColumn).desc)
-  }
+  /** Score and order, breaking ties on artifact id for determinism. The
+    * frame carries `artifact_id`: its callers, the tiles and list views,
+    * are built only after `Views.build` checks that contract.
+    */
+  def ranked(df: DataFrame, weights: Seq[RankingWeight]): DataFrame =
+    scored(df, weights).orderBy(col(ScoreColumn).desc, col("artifact_id"))
 }

@@ -131,7 +131,8 @@ final case class HumboldtSpec(
     */
   def validate: Seq[String] = {
     val dupNames = providers.groupBy(_.name).collect { case (n, ps) if ps.size > 1 => n }
-    val dupKeys = providers.flatMap(_.searchKey).groupBy(identity)
+    // The query grammar trims keys and matches them ignoring case.
+    val dupKeys = providers.flatMap(_.searchKey).groupBy(_.trim.toLowerCase(Locale.ROOT))
       .collect { case (k, ks) if ks.size > 1 => k }
     val errs = Seq.newBuilder[String]
     dupNames.foreach(n => errs += s"duplicate provider name '$n'")
@@ -143,8 +144,10 @@ final case class HumboldtSpec(
       // state end users reach by hiding a provider (§4.4), not an error.
       p.inputs.groupBy(_.name).collect { case (n, is) if is.size > 1 => n }
         .foreach(n => errs += s"provider '${p.name}' has duplicate input '$n'")
-      if (p.searchKey.exists(_.trim.isEmpty))
-        errs += s"provider '${p.name}' has blank search key"
+      p.searchKey.foreach { k =>
+        if (k.trim.isEmpty) errs += s"provider '${p.name}' has blank search key"
+        else if (k != k.trim) errs += s"provider '${p.name}' has search key '$k' with surrounding whitespace"
+      }
     }
     (globalRanking ++ providers.flatMap(_.ranking)).foreach { rw =>
       if (rw.field.trim.isEmpty) errs += "ranking weight with empty field"
@@ -169,25 +172,37 @@ final case class HumboldtSpec(
   /** Provider names referenced anywhere inside the custom content under a
     * `"provider"` or `"providers"` key, recursively.
     */
-  def customProviderRefs: Seq[String] = {
-    def walk(j: Json): Seq[String] = j match {
-      case Json.JObject(fields) =>
-        fields.toSeq.flatMap {
-          case ("provider", Json.JString(s))  => Seq(s)
-          case ("providers", Json.JArray(xs)) => xs.flatMap(_.str)
-          case (_, v)                         => walk(v)
-        }
-      case Json.JArray(xs) => xs.flatMap(walk)
-      case _               => Seq.empty
-    }
-    custom.values.toSeq.flatMap(walk)
-  }
+  def customProviderRefs: Seq[String] =
+    custom.values.toSeq.flatMap(HumboldtSpec.providerRefs(_, _ => true)._2)
 }
 
 /** JSON (de)serialization for Humboldt specs — the on-disk format admins edit
   * (paper §4.4: "modifying the specification directly or through a UI").
   */
 object HumboldtSpec {
+
+  /** One walk over custom content for its provider references: each
+    * `"provider"` string and each string of a `"providers"` array, at any
+    * depth. Returns `j` without the references that fail `keep` (a failing
+    * `"provider"` field is dropped), and the kept references in order.
+    */
+  def providerRefs(j: Json, keep: String => Boolean): (Json, Seq[String]) = j match {
+    case Json.JObject(fields) =>
+      val walked = fields.toSeq.flatMap {
+        case ("provider", v @ Json.JString(s)) => if (keep(s)) Seq(("provider", v, Seq(s))) else Nil
+        case ("providers", Json.JArray(xs)) =>
+          val kept = xs.filter(_.str.forall(keep))
+          Seq(("providers", Json.JArray(kept), kept.flatMap(_.str)))
+        case (k, v) =>
+          val (w, refs) = providerRefs(v, keep)
+          Seq((k, w, refs))
+      }
+      (Json.JObject(ListMap(walked.map(f => f._1 -> f._2): _*)), walked.flatMap(_._3))
+    case Json.JArray(xs) =>
+      val walked = xs.map(providerRefs(_, keep))
+      (Json.JArray(walked.map(_._1)), walked.flatMap(_._2))
+    case other => (other, Nil)
+  }
 
   def toJson(spec: HumboldtSpec): Json = {
     def inputJson(i: InputSpec) = Json.obj(

@@ -1,6 +1,5 @@
 package repro.ui
 
-import scala.collection.immutable.ListMap
 import repro.spec._
 
 /** Customization operations (paper §4.4): pure spec-to-spec transforms.
@@ -43,15 +42,12 @@ object Config {
     spec.copy(providers = spec.providers :+ p)
   }
 
-  /** Remove a provider and any home-page references to it. */
-  def removeProvider(spec: HumboldtSpec, name: String): HumboldtSpec = {
-    val cleaned = spec.custom.map {
-      case (k, v) if k == "team_home_pages" => k -> removeRefs(v, name)
-      case kv                               => kv
-    }
+  /** Remove a provider and every custom-content reference to it, as
+    * `HumboldtSpec.customProviderRefs` finds them.
+    */
+  def removeProvider(spec: HumboldtSpec, name: String): HumboldtSpec =
     spec.copy(providers = spec.providers.filterNot(_.name == name),
-      custom = ListMap(cleaned.toSeq: _*))
-  }
+      custom = spec.custom.map { case (k, v) => k -> HumboldtSpec.providerRefs(v, _ != name)._1 })
 
   /** Set a team's home page providers (Task 4 of the study; Listing 2). Unknown
     * names and providers that need a non-team input are rejected so the page renders.
@@ -77,19 +73,4 @@ object Config {
   private def mapProvider(spec: HumboldtSpec, name: String)(
       f: MetadataProviderSpec => MetadataProviderSpec): HumboldtSpec =
     spec.copy(providers = spec.providers.map(p => if (p.name == name) f(p) else p))
-
-  private def removeRefs(pages: Json, name: String): Json = pages match {
-    case Json.JArray(entries) =>
-      Json.JArray(entries.map {
-        case o @ Json.JObject(fields) =>
-          fields.get("providers") match {
-            case Some(Json.JArray(ps)) =>
-              Json.JObject(fields.updated("providers",
-                Json.JArray(ps.filterNot(_.str.contains(name)))))
-            case _ => o
-          }
-        case other => other
-      })
-    case other => other
-  }
 }

@@ -75,6 +75,21 @@ class HumboldtSpecSpec extends AnyFunSuite {
       provider("B", key = Some("owned by")))).validate
     assert(errs.exists(_.contains("duplicate search key")))
   }
+  test("search keys that differ only in case or surrounding space are duplicates") {
+    // The query grammar trims keys and matches them ignoring case.
+    Seq(Seq("Type", "type"), Seq("owned by", "OWNED BY")).foreach { keys =>
+      val errs = HumboldtSpec(Seq(provider("A", key = Some(keys(0))),
+        provider("B", key = Some(keys(1))))).validate
+      assert(errs.exists(_.contains("duplicate search key")), s"$keys: $errs")
+    }
+  }
+  test("a search key with surrounding whitespace is rejected") {
+    Seq(" owned by", "owned by ", "\towned by").foreach { k =>
+      val errs = HumboldtSpec(Seq(provider("A", key = Some(k)))).validate
+      assert(errs == Seq(s"provider 'A' has search key '$k' with surrounding whitespace"))
+    }
+    assert(HumboldtSpec(Seq(provider("A", key = Some("owned by")))).validate.isEmpty)
+  }
   test("empty endpoint is rejected") {
     assert(HumboldtSpec(Seq(provider(endpoint = " "))).validate.nonEmpty)
   }

@@ -59,6 +59,17 @@ class ConfigSpec extends AnyFunSuite {
     assert(!Config.teamHomePage(s, "A Team").contains("Popular"))
     assert(s.validate.isEmpty)
   }
+  test("removeProvider scrubs references anywhere in custom content") {
+    val withFeatured = spec.copy(custom = spec.custom.updated("featured", Json.obj(
+      "hero" -> Json.obj("provider" -> Json.str("Popular")),
+      "rail" -> Json.obj("providers" -> Json.JArray(Vector(Json.str("Popular"), Json.str("Badged")))))))
+    assert(withFeatured.validate.isEmpty)
+    val s = Config.removeProvider(withFeatured, "Popular")
+    assert(s.validate.isEmpty)
+    assert(!s.customProviderRefs.contains("Popular"))
+    assert(s.custom("featured") == Json.obj("hero" -> Json.obj(),
+      "rail" -> Json.obj("providers" -> Json.JArray(Vector(Json.str("Badged"))))))
+  }
   test("setTeamHomePage overwrites a team's page") {
     val s = Config.setTeamHomePage(spec, "A Team", Seq("Usage Map"))
     assert(Config.teamHomePage(s, "A Team") == Seq("Usage Map"))
